@@ -22,147 +22,70 @@
 //   --inject=hang@0       shard 0's first attempt stops producing output
 //   --inject=corrupt@2    shard 2's first attempt corrupts its artifact
 //
-// Exit codes: 0 all corners characterized; 1 some corners quarantined (the
-// bundle and report are still written); 2 usage; 6 cancelled (SIGINT /
-// SIGTERM / --timeout).
+// Exit code 1 means some corners were quarantined (the bundle and report
+// are still written); the other codes, the flag spellings and --stats follow
+// the shared tool runtime (src/tool/runtime.hpp).
 
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cells/corner.hpp"
 #include "characterize/checkpoint.hpp"
 #include "characterize/serialize.hpp"
+#include "demo_cells.hpp"
 #include "fleet/bundle.hpp"
 #include "fleet/orchestrator.hpp"
-#include "obs/report.hpp"
-#include "par/pool.hpp"
-#include "support/cancel.hpp"
+#include "support/bounded.hpp"
 #include "support/durable_io.hpp"
 #include "support/fault_injection.hpp"
 #include "support/journal.hpp"
+#include "tool/runtime.hpp"
 
 using namespace prox;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--corners FILE] [--out BUNDLE] [--workdir DIR]\n"
-      "          [--shards N] [--max-retries N] [--retry-backoff SECS]\n"
-      "          [--deadline SECS] [--heartbeat-timeout SECS]\n"
-      "          [--resume] [--quick] [--threads N] [--fsync-every N]\n"
-      "          [--progress SECS] [--timeout SECS] [--report FILE]\n"
-      "          [--inject SPEC[,SPEC...]] [--stats FILE] [--quiet]\n"
-      "  SPEC: (crash|hang|corrupt)@SHARD[*COUNT]\n",
-      argv0);
-  return 2;
-}
-
-const char* flagValue(const char* flag, char** argv, int argc, int* i) {
-  const std::size_t n = std::strlen(flag);
-  if (std::strncmp(argv[*i], flag, n) != 0) return nullptr;
-  if (argv[*i][n] == '=') return argv[*i] + n + 1;
-  if (argv[*i][n] == '\0' && *i + 1 < argc) return argv[++*i];
-  return nullptr;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-bool parseHex64(const std::string& s, std::uint64_t* out) {
-  if (s.size() != 16) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    int d;
-    if (c >= '0' && c <= '9') d = c - '0';
-    else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-    else return false;
-    v = (v << 4) | static_cast<std::uint64_t>(d);
-  }
-  *out = v;
-  return true;
-}
-
-/// Worker-facing corner encoding: exact double bit patterns, so the worker
-/// fingerprints precisely the technology the supervisor intended.
+/// Worker-facing corner encoding: NAME then the exact double bit patterns
+/// as ":%016llx" fields, so the worker fingerprints precisely the technology
+/// the supervisor intended.
 std::string encodeCorner(const cells::Corner& c) {
-  return c.name + ':' + hex64(support::doubleToBits(c.vddScale)) + ':' +
-         hex64(support::doubleToBits(c.vtShift)) + ':' +
-         hex64(support::doubleToBits(c.kpScale)) + ':' +
-         hex64(support::doubleToBits(c.gammaScale));
+  std::string out = c.name;
+  for (double v : {c.vddScale, c.vtShift, c.kpScale, c.gammaScale}) {
+    char buf[18];
+    std::snprintf(buf, sizeof(buf), ":%016llx",
+                  static_cast<unsigned long long>(support::doubleToBits(v)));
+    out += buf;
+  }
+  return out;
 }
 
-bool decodeCorner(const std::string& s, cells::Corner* out) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t colon = s.find(':', start);
-    if (colon == std::string::npos) {
-      parts.push_back(s.substr(start));
-      break;
+bool decodeCorner(std::string_view s, cells::Corner* out) {
+  constexpr std::size_t kField = 17;  // ':' + 16 hex digits
+  const std::size_t nameLen = s.size() - std::min(s.size(), 4 * kField);
+  if (nameLen == 0 || s.find(':') != nameLen) return false;
+  out->name = s.substr(0, nameLen);
+  s.remove_prefix(nameLen);
+  for (double* field : {&out->vddScale, &out->vtShift, &out->kpScale,
+                        &out->gammaScale}) {
+    std::uint64_t bits = 0;
+    const auto [end, ec] =
+        std::from_chars(s.data() + 1, s.data() + kField, bits, 16);
+    if (s[0] != ':' || ec != std::errc() || end != s.data() + kField) {
+      return false;
     }
-    parts.push_back(s.substr(start, colon - start));
-    start = colon + 1;
+    *field = support::bitsFromDouble(bits);
+    s.remove_prefix(kField);
   }
-  std::uint64_t vdd, vt, kp, gamma;
-  if (parts.size() != 5 || parts[0].empty() || !parseHex64(parts[1], &vdd) ||
-      !parseHex64(parts[2], &vt) || !parseHex64(parts[3], &kp) ||
-      !parseHex64(parts[4], &gamma)) {
-    return false;
-  }
-  out->name = parts[0];
-  out->vddScale = support::bitsFromDouble(vdd);
-  out->vtShift = support::bitsFromDouble(vt);
-  out->kpScale = support::bitsFromDouble(kp);
-  out->gammaScale = support::bitsFromDouble(gamma);
   return true;
-}
-
-/// The demo cell at @p corner: the same NAND3 characterize_cell ships, with
-/// the corner folded into its technology.
-cells::CellSpec cellAtCorner(const cells::Corner& corner) {
-  cells::CellSpec spec;
-  spec.type = cells::GateType::Nand;
-  spec.fanin = 3;
-  spec.wn = 6e-6;
-  spec.wp = 8e-6;
-  spec.loadCap = 100e-15;
-  spec.tech = cells::applyCorner(cells::Technology::generic5v(), corner);
-  return spec;
-}
-
-characterize::CharacterizationConfig sweepConfig(bool quick, int threads,
-                                                 double progressSecs) {
-  characterize::CharacterizationConfig cfg;
-  cfg.tauGrid = {50e-12,  100e-12, 200e-12,  400e-12, 700e-12,
-                 1100e-12, 1600e-12, 2200e-12};
-  cfg.dualTauIndices = {0, 2, 4, 6, 7};
-  if (quick) {
-    cfg.tauGrid = {50e-12, 200e-12, 700e-12, 2200e-12};
-    cfg.dualTauIndices = {0, 1, 2, 3};
-    cfg.vGrid = {0.1, 0.3, 1.0, 3.0, 8.0};
-    cfg.wGrid = {-2.0, -1.0, -0.5, 0.0, 0.3, 0.6, 1.0};
-    cfg.vGridTransition = {0.1, 0.3, 1.0, 3.0, 12.0};
-    cfg.wGridTransition = {-2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 6.0};
-    cfg.vtcStep = 0.02;
-  }
-  cfg.threads = threads;
-  cfg.progressIntervalSeconds = progressSecs;
-  return cfg;
 }
 
 std::string artifactPath(const std::string& workdir,
@@ -192,45 +115,64 @@ bool artifactValid(const std::string& path, std::string* reason) {
   }
 }
 
+/// Every flag of both modes; the supervisor forwards the worker subset.
+struct Options {
+  std::string cornersPath;
+  std::string outPath = "corners.proxbundle";
+  std::string workdir;
+  std::string reportPath;
+  int shards = 2;
+  int maxRetries = 2;
+  int threads = 1;
+  int fsyncEveryN = 0;  // 0 = the journal's default cadence
+  double retryBackoff = 0.25;
+  double deadlineSecs = 0.0;
+  double heartbeatSecs = 0.0;
+  double progressSecs = 0.0;
+  long long crashAt = -1;
+  bool resume = false;
+  bool quick = false;
+  bool quiet = false;
+  bool faultHang = false;
+  bool faultCorrupt = false;
+  bool workerMode = false;
+  cells::Corner workerCorner;
+};
+
 // --- worker mode ------------------------------------------------------------
 
 /// One shard: characterize one corner with a journal, write the artifact
 /// atomically.  Runs in its own process under the orchestrator (but is a
 /// plain exit-coded program, so it can also be run by hand for debugging).
-int runWorker(const cells::Corner& corner, const std::string& workdir,
-              bool quick, int threads, int fsyncEveryN, bool resume,
-              double progressSecs, double timeoutSecs, long long crashAt,
-              bool faultHang, bool faultCorrupt) {
-  support::CancelToken cancelToken;
-  if (timeoutSecs > 0.0) cancelToken.setTimeout(timeoutSecs);
-  support::SignalCancelScope signalScope(&cancelToken);
-  support::CancelScope mainScope(&cancelToken);
-
-  const cells::CellSpec spec = cellAtCorner(corner);
-  characterize::CharacterizationConfig cfg =
-      sweepConfig(quick, threads, progressSecs);
-  cfg.cancel = &cancelToken;
+int runWorker(const Options& o, support::CancelToken* cancel) {
+  const cells::Corner& corner = o.workerCorner;
+  const cells::CellSpec spec = examples::demoNand3(
+      cells::applyCorner(cells::Technology::generic5v(), corner));
+  characterize::CharacterizationConfig cfg = examples::demoGrids(o.quick);
+  cfg.threads = o.threads;
+  cfg.progressIntervalSeconds = o.progressSecs;
+  cfg.cancel = cancel;
 
   support::Journal::Options journalOptions;
-  if (fsyncEveryN >= 1) journalOptions.fsyncEveryN = fsyncEveryN;
+  if (o.fsyncEveryN >= 1) journalOptions.fsyncEveryN = o.fsyncEveryN;
   const std::string fingerprint = characterize::configFingerprint(spec, cfg);
-  characterize::CheckpointSession checkpoint(journalPath(workdir, corner.name),
-                                             fingerprint, resume,
-                                             journalOptions);
+  characterize::CheckpointSession checkpoint(
+      journalPath(o.workdir, corner.name), fingerprint, o.resume,
+      journalOptions);
   cfg.checkpoint = &checkpoint;
-  if (resume && checkpoint.loadedRecords() > 0) {
+  if (o.resume && checkpoint.loadedRecords() > 0) {
     std::printf("[worker %s] resuming: %zu journaled results\n",
                 corner.name.c_str(), checkpoint.loadedRecords());
   }
 
-  if (crashAt >= 0) {
+  if (o.crashAt >= 0) {
     support::FaultPlan::arm({.site = "par.task",
                              .kind = support::FaultKind::ProcessCrash,
-                             .taskIndex = crashAt});
-  } else if (faultHang) {
+                             .taskIndex = o.crashAt});
+  } else if (o.faultHang) {
     support::FaultPlan::arm({.site = "fleet.worker.hang",
                              .kind = support::FaultKind::WorkerHang});
-  } else if (faultCorrupt) {
+  } else if (o.faultCorrupt) {
     support::FaultPlan::arm({.site = "fleet.worker.artifact",
                              .kind = support::FaultKind::CorruptArtifact});
   }
@@ -250,20 +192,13 @@ int runWorker(const cells::Corner& corner, const std::string& workdir,
   characterize::CharacterizedGate gate;
   try {
     gate = characterize::characterizeGate(spec, cfg);
-  } catch (const support::DiagnosticError& e) {
+  } catch (const support::DiagnosticError&) {
     checkpoint.flush();
-    std::fprintf(stderr, "%s\n", e.diagnostic().toString().c_str());
-    const support::StatusCode code = e.code();
-    if (code == support::StatusCode::Cancelled ||
-        code == support::StatusCode::DeadlineExceeded) {
-      return 6;
-    }
-    if (code == support::StatusCode::ResourceExhausted) return 7;
-    return 1;
+    throw;
   }
   checkpoint.flush();
 
-  const std::string outPath = artifactPath(workdir, corner.name);
+  const std::string outPath = artifactPath(o.workdir, corner.name);
   characterize::saveGateModel(gate, outPath);
 
   if (PROX_FAULT_POINT("fleet.worker.artifact", CorruptArtifact)) {
@@ -282,7 +217,7 @@ int runWorker(const cells::Corner& corner, const std::string& workdir,
 
   std::printf("[worker %s] wrote %s (%zu replayed)\n", corner.name.c_str(),
               outPath.c_str(), checkpoint.replayCount());
-  return 0;
+  return tool::kExitOk;
 }
 
 // --- supervisor mode --------------------------------------------------------
@@ -293,322 +228,227 @@ struct InjectSpec {
   int count = 1;
 };
 
-bool parseInject(const std::string& text, std::vector<InjectSpec>* out) {
+/// "--inject" value: comma-separated (crash|hang|corrupt)@SHARD[*COUNT].
+std::vector<InjectSpec> parseInject(std::string_view text) {
+  std::vector<InjectSpec> out;
   std::size_t start = 0;
   while (start < text.size()) {
     std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string spec = text.substr(start, comma - start);
+    if (comma == std::string_view::npos) comma = text.size();
+    const std::string_view spec = text.substr(start, comma - start);
     start = comma + 1;
     const std::size_t at = spec.find('@');
-    if (at == std::string::npos) return false;
     InjectSpec is;
     is.kind = spec.substr(0, at);
-    if (is.kind != "crash" && is.kind != "hang" && is.kind != "corrupt") {
-      return false;
+    if (at == std::string_view::npos ||
+        (is.kind != "crash" && is.kind != "hang" && is.kind != "corrupt")) {
+      tool::failUsage("--inject expects (crash|hang|corrupt)@SHARD[*COUNT], "
+                      "got '" + std::string(spec) + "'");
     }
-    std::string rest = spec.substr(at + 1);
+    std::string_view rest = spec.substr(at + 1);
     const std::size_t star = rest.find('*');
-    if (star != std::string::npos) {
-      is.count = std::atoi(rest.c_str() + star + 1);
-      if (is.count < 1) return false;
-      rest.resize(star);
+    if (star != std::string_view::npos) {
+      is.count = static_cast<int>(support::parseIntChecked(
+          rest.substr(star + 1), "cli", "--inject COUNT", -1, 1, INT_MAX));
+      rest = rest.substr(0, star);
     }
-    if (rest.empty()) return false;
-    for (char c : rest) {
-      if (c < '0' || c > '9') return false;
-    }
-    is.shard = static_cast<std::size_t>(std::atoll(rest.c_str()));
-    out->push_back(std::move(is));
+    is.shard = support::parseCountChecked(rest, SIZE_MAX, "cli",
+                                          "--inject SHARD");
+    out.push_back(std::move(is));
   }
-  return true;
+  return out;
+}
+
+/// Runs the fleet over every corner and assembles the bundle.
+int runSupervisor(const Options& o, const std::string& self,
+                  const std::vector<InjectSpec>& injects,
+                  support::CancelToken* cancel) {
+  const std::vector<cells::Corner> corners =
+      o.cornersPath.empty() ? cells::defaultCorners()
+                            : cells::loadCornersFile(o.cornersPath);
+
+  if (::mkdir(o.workdir.c_str(), 0755) != 0 && errno != EEXIST) {
+    std::fprintf(stderr, "%s: cannot create workdir %s\n", self.c_str(),
+                 o.workdir.c_str());
+    return tool::kExitError;
+  }
+
+  // Fleet-level resume: a corner whose artifact already loads cleanly is
+  // done (skipped entirely); one with a journal resumes from it.
+  std::vector<bool> alreadyDone(corners.size(), false);
+  std::vector<fleet::ShardSpec> specs;
+  for (std::size_t i = 0; i < corners.size(); ++i) {
+    const cells::Corner& corner = corners[i];
+    const std::string artifact = artifactPath(o.workdir, corner.name);
+    if (o.resume && fileExists(artifact) && artifactValid(artifact, nullptr)) {
+      alreadyDone[i] = true;
+      continue;
+    }
+    fleet::ShardSpec spec;
+    spec.name = corner.name;
+    const bool hasJournal =
+        o.resume && fileExists(journalPath(o.workdir, corner.name));
+    spec.resumesFromJournal = hasJournal;
+    const std::size_t shardIndex = specs.size();
+    spec.command = [=, &o, &injects](int attempt) {
+      std::vector<std::string> cmd{
+          self, "--worker-corner=" + encodeCorner(corner),
+          "--workdir=" + o.workdir, "--threads=" + std::to_string(o.threads)};
+      if (o.quick) cmd.push_back("--quick");
+      if (o.fsyncEveryN >= 1) {
+        cmd.push_back("--fsync-every=" + std::to_string(o.fsyncEveryN));
+      }
+      if (o.progressSecs > 0.0) {
+        cmd.push_back("--progress=" + std::to_string(o.progressSecs));
+      }
+      // Any attempt after the first -- and the first attempt over a prior
+      // run's journal -- replays instead of restarting.
+      if (attempt > 0 || hasJournal) cmd.push_back("--resume");
+      for (const InjectSpec& is : injects) {
+        if (is.shard != shardIndex || attempt >= is.count) continue;
+        if (is.kind == "crash") cmd.push_back("--crash-at=2");
+        else if (is.kind == "hang") cmd.push_back("--fault-hang");
+        else cmd.push_back("--fault-corrupt");
+      }
+      return cmd;
+    };
+    spec.validateArtifact = [artifact](std::string* reason) {
+      return artifactValid(artifact, reason);
+    };
+    specs.push_back(std::move(spec));
+  }
+
+  fleet::FleetOptions options;
+  options.maxParallel = o.shards;
+  options.maxRetries = o.maxRetries;
+  options.backoffBaseSeconds = o.retryBackoff;
+  options.shardDeadlineSeconds = o.deadlineSecs;
+  options.heartbeatTimeoutSeconds = o.heartbeatSecs;
+  options.cancel = cancel;
+  options.echoWorkerOutput = !o.quiet;
+
+  if (!o.quiet) {
+    std::printf("fleet: %zu corner%s (%zu already done), up to %d worker%s"
+                ", max %d retr%s\n",
+                corners.size(), corners.size() == 1 ? "" : "s",
+                static_cast<std::size_t>(
+                    std::count(alreadyDone.begin(), alreadyDone.end(), true)),
+                o.shards, o.shards == 1 ? "" : "s", o.maxRetries,
+                o.maxRetries == 1 ? "y" : "ies");
+  }
+
+  fleet::FleetReport report = fleet::runFleet(specs, options);
+
+  // Merge the skipped (already-done) corners into the report so --resume
+  // runs document the whole fleet, not just the relaunched slice.
+  std::vector<fleet::ShardResult> merged;
+  std::size_t ri = 0;
+  for (std::size_t i = 0; i < corners.size(); ++i) {
+    if (alreadyDone[i]) {
+      fleet::ShardResult s;
+      s.name = corners[i].name;
+      s.state = fleet::ShardState::Done;
+      s.attempts = 0;
+      s.lastExitCode = 0;
+      s.resumedFromJournal = true;
+      merged.push_back(std::move(s));
+    } else {
+      merged.push_back(std::move(report.shards[ri++]));
+    }
+  }
+  report.shards = std::move(merged);
+
+  support::writeFileAtomic(o.reportPath,
+                           [&](std::ostream& os) { report.writeJson(os); });
+
+  // Bundle assembly: every corner appears in the manifest; only the
+  // characterized ones carry sections.
+  std::vector<fleet::BundleWriteEntry> entries;
+  for (std::size_t i = 0; i < corners.size(); ++i) {
+    fleet::BundleWriteEntry e;
+    e.corner = corners[i];
+    const fleet::ShardResult& s = report.shards[i];
+    if (s.state == fleet::ShardState::Done) {
+      e.status = fleet::BundleCornerStatus::Ok;
+      e.proxPath = artifactPath(o.workdir, corners[i].name);
+    } else if (s.state == fleet::ShardState::Quarantined) {
+      e.status = fleet::BundleCornerStatus::Quarantined;
+      e.reason = "attempts=" + std::to_string(s.attempts) +
+                 (s.lastSignal != 0
+                      ? ",signal=" + std::to_string(s.lastSignal)
+                      : ",exit=" + std::to_string(s.lastExitCode));
+    } else {
+      e.status = fleet::BundleCornerStatus::Missing;
+      e.reason = fleet::shardStateName(s.state);
+    }
+    entries.push_back(std::move(e));
+  }
+  fleet::writeBundle(o.outPath, entries);
+
+  const std::size_t quarantined =
+      report.countIn(fleet::ShardState::Quarantined);
+  if (!o.quiet) {
+    for (const fleet::ShardResult& s : report.shards) {
+      std::printf("  %-12s %-11s attempts=%d%s%s\n", s.name.c_str(),
+                  fleet::shardStateName(s.state), s.attempts,
+                  s.state == fleet::ShardState::Quarantined
+                      ? (" exit=" + std::to_string(s.lastExitCode) +
+                         " signal=" + std::to_string(s.lastSignal))
+                            .c_str()
+                      : "",
+                  s.lastDiagnostic.empty()
+                      ? ""
+                      : ("  [" + s.lastDiagnostic + "]").c_str());
+    }
+    std::printf("wrote %s (%zu ok, %zu quarantined), report %s\n",
+                o.outPath.c_str(), report.countIn(fleet::ShardState::Done),
+                quarantined, o.reportPath.c_str());
+  }
+  // A quarantined (or unfinished) fleet is this tool's own failure code.
+  return quarantined == 0 && report.allDone() ? tool::kExitOk
+                                              : tool::kExitError;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string cornersPath;
-  std::string outPath = "corners.proxbundle";
-  std::string workdir;
-  std::string reportPath;
-  std::string statsPath;
-  std::string workerCorner;
-  std::string injectText;
-  int shards = 2;
-  int maxRetries = 2;
-  int threads = 1;
-  int fsyncEveryN = 0;
-  double retryBackoff = 0.25;
-  double deadlineSecs = 0.0;
-  double heartbeatSecs = 0.0;
-  double progressSecs = 0.0;
-  double timeoutSecs = 0.0;
-  long long crashAt = -1;
-  bool resume = false;
-  bool quick = false;
-  bool quiet = false;
-  bool faultHang = false;
-  bool faultCorrupt = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    if ((v = flagValue("--corners", argv, argc, &i)) != nullptr) {
-      cornersPath = v;
-    } else if ((v = flagValue("--out", argv, argc, &i)) != nullptr) {
-      outPath = v;
-    } else if ((v = flagValue("--workdir", argv, argc, &i)) != nullptr) {
-      workdir = v;
-    } else if ((v = flagValue("--report", argv, argc, &i)) != nullptr) {
-      reportPath = v;
-    } else if ((v = flagValue("--stats", argv, argc, &i)) != nullptr) {
-      statsPath = v;
-    } else if ((v = flagValue("--shards", argv, argc, &i)) != nullptr) {
-      shards = std::atoi(v);
-      if (shards < 1) return usage(argv[0]);
-    } else if ((v = flagValue("--max-retries", argv, argc, &i)) != nullptr) {
-      maxRetries = std::atoi(v);
-      if (maxRetries < 0) return usage(argv[0]);
-    } else if ((v = flagValue("--retry-backoff", argv, argc, &i)) != nullptr) {
-      retryBackoff = std::atof(v);
-      if (retryBackoff < 0.0) return usage(argv[0]);
-    } else if ((v = flagValue("--deadline", argv, argc, &i)) != nullptr) {
-      deadlineSecs = std::atof(v);
-    } else if ((v = flagValue("--heartbeat-timeout", argv, argc, &i)) !=
-               nullptr) {
-      heartbeatSecs = std::atof(v);
-    } else if ((v = flagValue("--threads", argv, argc, &i)) != nullptr) {
-      threads = std::atoi(v);
-      if (threads < 0) return usage(argv[0]);
-    } else if ((v = flagValue("--fsync-every", argv, argc, &i)) != nullptr) {
-      fsyncEveryN = std::atoi(v);
-      if (fsyncEveryN < 1) return usage(argv[0]);
-    } else if ((v = flagValue("--progress", argv, argc, &i)) != nullptr) {
-      progressSecs = std::atof(v);
-    } else if ((v = flagValue("--timeout", argv, argc, &i)) != nullptr) {
-      timeoutSecs = std::atof(v);
-    } else if ((v = flagValue("--inject", argv, argc, &i)) != nullptr) {
-      injectText = v;
-    } else if ((v = flagValue("--worker-corner", argv, argc, &i)) != nullptr) {
-      workerCorner = v;
-    } else if ((v = flagValue("--crash-at", argv, argc, &i)) != nullptr) {
-      crashAt = std::atoll(v);
-    } else if (std::strcmp(argv[i], "--fault-hang") == 0) {
-      faultHang = true;
-    } else if (std::strcmp(argv[i], "--fault-corrupt") == 0) {
-      faultCorrupt = true;
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-
-  if (workdir.empty()) workdir = outPath + ".work";
-  if (reportPath.empty()) reportPath = outPath + ".fleet.json";
-
-  // Worker mode: this process IS one shard.
-  if (!workerCorner.empty()) {
-    cells::Corner corner;
-    if (!decodeCorner(workerCorner, &corner)) {
-      std::fprintf(stderr, "%s: bad --worker-corner encoding\n", argv[0]);
-      return 2;
-    }
-    try {
-      return runWorker(corner, workdir, quick, threads, fsyncEveryN, resume,
-                       progressSecs, timeoutSecs, crashAt, faultHang,
-                       faultCorrupt);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 1;
-    }
-  }
-
-  // Supervisor mode.
+  Options o;
   std::vector<InjectSpec> injects;
-  if (!injectText.empty() && !parseInject(injectText, &injects)) {
-    std::fprintf(stderr, "%s: bad --inject spec \"%s\"\n", argv[0],
-                 injectText.c_str());
-    return 2;
-  }
 
-  support::CancelToken cancelToken;
-  if (timeoutSecs > 0.0) cancelToken.setTimeout(timeoutSecs);
-  support::SignalCancelScope signalScope(&cancelToken);
+  tool::Tool cli(tool::kCancel | tool::kStats);
+  cli.text("--corners", "FILE", &o.cornersPath)
+      .text("--out", "BUNDLE", &o.outPath)
+      .text("--workdir", "DIR", &o.workdir)
+      .text("--report", "FILE", &o.reportPath)
+      .integer("--shards", "N", &o.shards, 1)
+      .integer("--max-retries", "N", &o.maxRetries, 0)
+      .real("--retry-backoff", "SECS", &o.retryBackoff, 0.0)
+      .real("--deadline", "SECS", &o.deadlineSecs)
+      .real("--heartbeat-timeout", "SECS", &o.heartbeatSecs)
+      .toggle("--resume", &o.resume)
+      .toggle("--quick", &o.quick)
+      .integer("--threads", "N", &o.threads, 0)
+      .integer("--fsync-every", "N", &o.fsyncEveryN, 1)
+      .real("--progress", "SECS", &o.progressSecs)
+      .custom("--inject", "SPEC[,SPEC...]",
+              [&](std::string_view v) { injects = parseInject(v); })
+      .toggle("--quiet", &o.quiet)
+      // Worker mode (spawned by the supervisor, one corner per process).
+      .custom("--worker-corner", "ENCODED",
+              [&](std::string_view v) {
+                if (!decodeCorner(v, &o.workerCorner)) {
+                  tool::failUsage("bad --worker-corner encoding");
+                }
+                o.workerMode = true;
+              })
+      .integer("--crash-at", "INDEX", &o.crashAt)
+      .toggle("--fault-hang", &o.faultHang)
+      .toggle("--fault-corrupt", &o.faultCorrupt);
 
-  try {
-    const std::vector<cells::Corner> corners =
-        cornersPath.empty() ? cells::defaultCorners()
-                            : cells::loadCornersFile(cornersPath);
-
-    if (::mkdir(workdir.c_str(), 0755) != 0 && errno != EEXIST) {
-      std::fprintf(stderr, "%s: cannot create workdir %s\n", argv[0],
-                   workdir.c_str());
-      return 1;
-    }
-
-    // Fleet-level resume: a corner whose artifact already loads cleanly is
-    // done (skipped entirely); one with a journal resumes from it.
-    std::vector<bool> alreadyDone(corners.size(), false);
-    std::vector<fleet::ShardSpec> specs;
-    std::vector<std::size_t> shardCorner;  // spec index -> corner index
-    for (std::size_t i = 0; i < corners.size(); ++i) {
-      const cells::Corner& corner = corners[i];
-      const std::string artifact = artifactPath(workdir, corner.name);
-      if (resume && fileExists(artifact) && artifactValid(artifact, nullptr)) {
-        alreadyDone[i] = true;
-        continue;
-      }
-      fleet::ShardSpec spec;
-      spec.name = corner.name;
-      const bool hasJournal =
-          resume && fileExists(journalPath(workdir, corner.name));
-      spec.resumesFromJournal = hasJournal;
-      const std::string self = argv[0];
-      const std::size_t shardIndex = specs.size();
-      spec.command = [=, &injects](int attempt) {
-        std::vector<std::string> cmd{
-            self, "--worker-corner=" + encodeCorner(corner),
-            "--workdir=" + workdir, "--threads=" + std::to_string(threads)};
-        if (quick) cmd.push_back("--quick");
-        if (fsyncEveryN >= 1) {
-          cmd.push_back("--fsync-every=" + std::to_string(fsyncEveryN));
-        }
-        if (progressSecs > 0.0) {
-          cmd.push_back("--progress=" + std::to_string(progressSecs));
-        }
-        // Any attempt after the first -- and the first attempt over a prior
-        // run's journal -- replays instead of restarting.
-        if (attempt > 0 || hasJournal) cmd.push_back("--resume");
-        for (const InjectSpec& is : injects) {
-          if (is.shard != shardIndex || attempt >= is.count) continue;
-          if (is.kind == "crash") cmd.push_back("--crash-at=2");
-          else if (is.kind == "hang") cmd.push_back("--fault-hang");
-          else cmd.push_back("--fault-corrupt");
-        }
-        return cmd;
-      };
-      spec.validateArtifact = [artifact](std::string* reason) {
-        return artifactValid(artifact, reason);
-      };
-      specs.push_back(std::move(spec));
-      shardCorner.push_back(i);
-    }
-
-    fleet::FleetOptions options;
-    options.maxParallel = shards;
-    options.maxRetries = maxRetries;
-    options.backoffBaseSeconds = retryBackoff;
-    options.shardDeadlineSeconds = deadlineSecs;
-    options.heartbeatTimeoutSeconds = heartbeatSecs;
-    options.cancel = &cancelToken;
-    options.echoWorkerOutput = !quiet;
-
-    if (!quiet) {
-      std::printf("fleet: %zu corner%s (%zu already done), up to %d worker%s"
-                  ", max %d retr%s\n",
-                  corners.size(), corners.size() == 1 ? "" : "s",
-                  static_cast<std::size_t>(
-                      std::count(alreadyDone.begin(), alreadyDone.end(), true)),
-                  shards, shards == 1 ? "" : "s", maxRetries,
-                  maxRetries == 1 ? "y" : "ies");
-    }
-
-    fleet::FleetReport report = fleet::runFleet(specs, options);
-
-    // Merge the skipped (already-done) corners into the report so --resume
-    // runs document the whole fleet, not just the relaunched slice.
-    std::vector<fleet::ShardResult> merged;
-    std::size_t ri = 0;
-    for (std::size_t i = 0; i < corners.size(); ++i) {
-      if (alreadyDone[i]) {
-        fleet::ShardResult s;
-        s.name = corners[i].name;
-        s.state = fleet::ShardState::Done;
-        s.attempts = 0;
-        s.lastExitCode = 0;
-        s.resumedFromJournal = true;
-        merged.push_back(std::move(s));
-      } else {
-        merged.push_back(std::move(report.shards[ri++]));
-      }
-    }
-    report.shards = std::move(merged);
-
-    support::writeFileAtomic(reportPath, [&](std::ostream& os) {
-      report.writeJson(os);
-    });
-
-    // Bundle assembly: every corner appears in the manifest; only the
-    // characterized ones carry sections.
-    std::vector<fleet::BundleWriteEntry> entries;
-    for (std::size_t i = 0; i < corners.size(); ++i) {
-      fleet::BundleWriteEntry e;
-      e.corner = corners[i];
-      const fleet::ShardResult& s = report.shards[i];
-      if (s.state == fleet::ShardState::Done) {
-        e.status = fleet::BundleCornerStatus::Ok;
-        e.proxPath = artifactPath(workdir, corners[i].name);
-      } else if (s.state == fleet::ShardState::Quarantined) {
-        e.status = fleet::BundleCornerStatus::Quarantined;
-        e.reason = "attempts=" + std::to_string(s.attempts) +
-                   (s.lastSignal != 0
-                        ? ",signal=" + std::to_string(s.lastSignal)
-                        : ",exit=" + std::to_string(s.lastExitCode));
-      } else {
-        e.status = fleet::BundleCornerStatus::Missing;
-        e.reason = fleet::shardStateName(s.state);
-      }
-      entries.push_back(std::move(e));
-    }
-    fleet::writeBundle(outPath, entries);
-
-    const std::size_t quarantined =
-        report.countIn(fleet::ShardState::Quarantined);
-    if (!quiet) {
-      for (const fleet::ShardResult& s : report.shards) {
-        std::printf("  %-12s %-11s attempts=%d%s%s\n", s.name.c_str(),
-                    fleet::shardStateName(s.state), s.attempts,
-                    s.state == fleet::ShardState::Quarantined
-                        ? (" exit=" + std::to_string(s.lastExitCode) +
-                           " signal=" + std::to_string(s.lastSignal))
-                              .c_str()
-                        : "",
-                    s.lastDiagnostic.empty()
-                        ? ""
-                        : ("  [" + s.lastDiagnostic + "]").c_str());
-      }
-      std::printf("wrote %s (%zu ok, %zu quarantined), report %s\n",
-                  outPath.c_str(), report.countIn(fleet::ShardState::Done),
-                  quarantined, reportPath.c_str());
-    }
-
-    if (!statsPath.empty()) {
-      support::writeFileAtomic(statsPath,
-                               [](std::ostream& os) { obs::writeJson(os); });
-    }
-    return quarantined == 0 && report.allDone() ? 0 : 1;
-  } catch (const support::DiagnosticError& e) {
-    std::fprintf(stderr, "%s\n", e.diagnostic().toString().c_str());
-    if (!statsPath.empty()) {
-      try {
-        support::writeFileAtomic(statsPath,
-                                 [](std::ostream& os) { obs::writeJson(os); });
-      } catch (const std::exception&) {
-      }
-    }
-    const support::StatusCode code = e.code();
-    if (code == support::StatusCode::Cancelled ||
-        code == support::StatusCode::DeadlineExceeded) {
-      return 6;
-    }
-    if (code == support::StatusCode::ResourceExhausted) return 7;
-    return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-    return 1;
-  }
+  return cli.run(argc, argv, [&](tool::Run& run) {
+    if (o.workdir.empty()) o.workdir = o.outPath + ".work";
+    if (o.reportPath.empty()) o.reportPath = o.outPath + ".fleet.json";
+    return o.workerMode ? runWorker(o, run.cancel())
+                        : runSupervisor(o, argv[0], injects, run.cancel());
+  });
 }

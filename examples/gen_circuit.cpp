@@ -6,48 +6,37 @@
 // Typical use, piped straight into the STA front end:
 //   gen_circuit --seed=7 --depth=30 --width=64 | sta_path --blif=-
 //
-// Exit codes: 0 ok, 1 I/O error, 2 usage.
+// Flags and exit codes follow the shared tool runtime (src/tool/runtime.hpp).
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "sta/synth.hpp"
+#include "support/bounded.hpp"
+#include "tool/runtime.hpp"
 
 using namespace prox;
 
 namespace {
 
-bool parseU32(const char* text, std::uint32_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || v > 0xFFFFFFFFull) return false;
-  *out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-bool parseU64(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--seed=N] [--depth=N] [--width=N] [--inputs=N]\n"
-      "       [--max-fanin=N] [--max-fanout=N] [--mix=NAND:NOR:INV]\n"
-      "       [--model=NAME] [--out=FILE]\n"
-      "Emits a deterministic synthetic BLIF circuit (depth x width layered\n"
-      "INV/NAND/NOR gates) to stdout or FILE.  Equal flags always emit\n"
-      "byte-identical BLIF.\n",
-      argv0);
-  return 2;
+/// "--mix" value: NAND:NOR:INV weights, each a 32-bit unsigned integer.
+void parseMix(std::string_view text, sta::SynthSpec* spec) {
+  std::uint32_t* weights[] = {&spec->nandWeight, &spec->norWeight,
+                              &spec->invWeight};
+  const std::string original(text);
+  for (std::uint32_t* w : weights) {
+    const std::size_t colon = text.find(':');
+    const bool last = w == weights[2];
+    if (last != (colon == std::string_view::npos)) {
+      tool::failUsage("--mix expects NAND:NOR:INV, got '" + original + "'");
+    }
+    *w = static_cast<std::uint32_t>(support::parseIntChecked(
+        text.substr(0, colon), "cli", "--mix weight", -1, 0, UINT32_MAX));
+    text.remove_prefix(last ? text.size() : colon + 1);
+  }
 }
 
 }  // namespace
@@ -55,68 +44,45 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   sta::SynthSpec spec;
   std::string outPath;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    bool ok = true;
-    if (std::strncmp(arg, "--seed=", 7) == 0) {
-      ok = parseU64(arg + 7, &spec.seed);
-    } else if (std::strncmp(arg, "--depth=", 8) == 0) {
-      ok = parseU32(arg + 8, &spec.depth);
-    } else if (std::strncmp(arg, "--width=", 8) == 0) {
-      ok = parseU32(arg + 8, &spec.width);
-    } else if (std::strncmp(arg, "--inputs=", 9) == 0) {
-      ok = parseU32(arg + 9, &spec.primaryInputs);
-    } else if (std::strncmp(arg, "--max-fanin=", 12) == 0) {
-      ok = parseU32(arg + 12, &spec.maxFanin);
-    } else if (std::strncmp(arg, "--max-fanout=", 13) == 0) {
-      ok = parseU32(arg + 13, &spec.maxFanout);
-    } else if (std::strncmp(arg, "--mix=", 6) == 0) {
-      unsigned nand = 0, nor = 0, inv = 0;
-      char tail = '\0';
-      if (std::sscanf(arg + 6, "%u:%u:%u%c", &nand, &nor, &inv, &tail) != 3) {
-        ok = false;
-      } else {
-        spec.nandWeight = nand;
-        spec.norWeight = nor;
-        spec.invWeight = inv;
-      }
-    } else if (std::strncmp(arg, "--model=", 8) == 0) {
-      spec.modelName = arg + 8;
-      ok = !spec.modelName.empty();
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      outPath = arg + 6;
-      ok = !outPath.empty();
-    } else {
-      return usage(argv[0]);
-    }
-    if (!ok) {
-      std::fprintf(stderr, "%s: bad value in '%s'\n", argv[0], arg);
-      return 2;
-    }
-  }
 
-  try {
-    sta::validateSynthSpec(spec);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-    return 2;
-  }
+  tool::Tool cli(0,
+                 "Emits a deterministic synthetic BLIF circuit (depth x width "
+                 "layered\nINV/NAND/NOR gates) to stdout or FILE.  Equal flags "
+                 "always emit\nbyte-identical BLIF.\n");
+  cli.integer("--seed", "N", &spec.seed)
+      .integer("--depth", "N", &spec.depth)
+      .integer("--width", "N", &spec.width)
+      .integer("--inputs", "N", &spec.primaryInputs)
+      .integer("--max-fanin", "N", &spec.maxFanin)
+      .integer("--max-fanout", "N", &spec.maxFanout)
+      .custom("--mix", "NAND:NOR:INV",
+              [&](std::string_view v) { parseMix(v, &spec); })
+      .text("--model", "NAME", &spec.modelName)
+      .text("--out", "FILE", &outPath);
 
-  if (outPath.empty()) {
-    sta::generateBlif(spec, std::cout);
-    std::cout.flush();
-    return std::cout ? 0 : 1;
-  }
-  std::ofstream os(outPath);
-  if (!os) {
-    std::fprintf(stderr, "%s: cannot open %s\n", argv[0], outPath.c_str());
-    return 1;
-  }
-  sta::generateBlif(spec, os);
-  os.flush();
-  if (!os) {
-    std::fprintf(stderr, "%s: write failed: %s\n", argv[0], outPath.c_str());
-    return 1;
-  }
-  return 0;
+  return cli.run(argc, argv, [&](tool::Run&) {
+    try {
+      sta::validateSynthSpec(spec);
+    } catch (const std::invalid_argument& e) {
+      tool::failUsage(e.what());
+    }
+
+    if (outPath.empty()) {
+      sta::generateBlif(spec, std::cout);
+      std::cout.flush();
+      return std::cout ? tool::kExitOk : tool::kExitError;
+    }
+    std::ofstream os(outPath);
+    if (!os) {
+      std::fprintf(stderr, "%s: cannot open %s\n", argv[0], outPath.c_str());
+      return tool::kExitError;
+    }
+    sta::generateBlif(spec, os);
+    os.flush();
+    if (!os) {
+      std::fprintf(stderr, "%s: write failed: %s\n", argv[0], outPath.c_str());
+      return tool::kExitError;
+    }
+    return tool::kExitOk;
+  });
 }

@@ -16,28 +16,21 @@
 // back to a degraded delay model -- as a hard error: each event is printed
 // to stderr and the process exits non-zero, with the exit code encoding the
 // worst severity seen (3 = warning-level events promoted, 4 = error,
-// 5 = fatal).
+// 5 = fatal).  The other flags and exit codes follow the shared tool
+// runtime (src/tool/runtime.hpp).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "characterize/characterize.hpp"
+#include "demo_cells.hpp"
 #include "fleet/bundle.hpp"
-#include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "spice/netlist.hpp"
 #include "spice/tran.hpp"
 #include "sta/timing_graph.hpp"
-#include "support/budget.hpp"
-#include "support/cancel.hpp"
 #include "support/diagnostic.hpp"
-#include "support/durable_io.hpp"
+#include "tool/runtime.hpp"
 #include "waveform/measure.hpp"
 
 using namespace prox;
@@ -146,32 +139,17 @@ int runFullStackStage(bool strict, int threads, support::CancelToken* cancel,
   }
   const characterize::CharacterizedGate& cell = *cellPtr;
 
+  // A bundle gate of any width drops into the same padded chain.
   sta::Netlist nl;
-  for (const char* pi : {"a", "b", "c", "s"}) nl.addPrimaryInput(pi);
-  // Pad stages up to the served cell's fanin with stable side inputs, so a
-  // bundle gate of any width drops into the same chain.
-  std::vector<std::string> pads;
-  for (int p = 0; p + 2 < cell.pinCount(); ++p) {
-    pads.push_back("p" + std::to_string(p));
-    nl.addPrimaryInput(pads.back());
-  }
-  auto stageInputs = [&](const std::string& first, const std::string& second) {
-    std::vector<std::string> v{first};
-    if (cell.pinCount() >= 2) v.push_back(second);
-    for (const std::string& pad : pads) v.push_back(pad);
-    return v;
-  };
-  nl.addInstance("u1", cell, stageInputs("a", "b"), "y1");
-  nl.addInstance("u2", cell, stageInputs("y1", "s"), "y2");
-  nl.addInstance("u3", cell, stageInputs("y2", "c"), "y3");
+  examples::addDemoChain(nl, cell, "s");
 
   sta::DelayCalcOptions staOpt;
   staOpt.threads = threads;
   staOpt.cancel = cancel;
   sta::TimingAnalyzer ta(nl, sta::DelayMode::Proximity, staOpt);
-  ta.setInputArrival("a", {0.0, 250e-12, wave::Edge::Rising});
-  ta.setInputArrival("b", {40e-12, 400e-12, wave::Edge::Rising});
-  ta.setInputArrival("c", {600e-12, 300e-12, wave::Edge::Rising});
+  for (const auto& [net, arr] : examples::demoArrivals()) {
+    ta.setInputArrival(net, arr);
+  }
   ta.run();
   if (const auto out = ta.arrival("y3")) {
     std::printf("  proximity arrival at y3: %.1f ps\n", out->time * 1e12);
@@ -201,123 +179,28 @@ int runFullStackStage(bool strict, int threads, support::CancelToken* cancel,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool stats = false;
   bool strict = false;
-  std::string statsPath;
-  std::string tracePath;
   std::string bundlePath;
   std::string cornerName = "tt";
   fleet::MissingCornerPolicy cornerPolicy = fleet::MissingCornerPolicy::Reject;
   int threads = 0;  // 0 = par::defaultThreadCount() (PROX_THREADS or cores)
-  double timeoutSecs = 0.0;
-  support::ResourceBudget budget;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--stats") == 0) {
-      stats = true;
-    } else if (std::strncmp(argv[i], "--stats=", 8) == 0) {
-      stats = true;
-      statsPath = argv[i] + 8;
-      if (statsPath.empty()) {
-        std::fprintf(stderr, "%s: --stats= requires a file name\n", argv[0]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      tracePath = argv[i] + 8;
-      if (tracePath.empty()) {
-        std::fprintf(stderr, "%s: --trace= requires a file name\n", argv[0]);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--strict") == 0) {
-      strict = true;
-    } else if (std::strncmp(argv[i], "--bundle=", 9) == 0) {
-      bundlePath = argv[i] + 9;
-      if (bundlePath.empty()) {
-        std::fprintf(stderr, "%s: --bundle= requires a file name\n", argv[0]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--corner=", 9) == 0) {
-      cornerName = argv[i] + 9;
-      if (cornerName.empty()) {
-        std::fprintf(stderr, "%s: --corner= requires a corner name\n", argv[0]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--corner-policy=", 16) == 0) {
-      const std::string v = argv[i] + 16;
-      if (v == "reject") {
-        cornerPolicy = fleet::MissingCornerPolicy::Reject;
-      } else if (v == "degrade") {
-        cornerPolicy = fleet::MissingCornerPolicy::Degrade;
-      } else {
-        std::fprintf(stderr, "%s: --corner-policy expects reject|degrade\n",
-                     argv[0]);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--timeout=", 10) == 0) {
-      timeoutSecs = std::atof(argv[i] + 10);
-      if (timeoutSecs <= 0.0) {
-        std::fprintf(stderr, "%s: --timeout expects SECS > 0\n", argv[0]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--max-memory=", 13) == 0) {
-      const long mb = std::atol(argv[i] + 13);
-      if (mb <= 0) {
-        std::fprintf(stderr, "%s: --max-memory expects MB > 0\n", argv[0]);
-        return 2;
-      }
-      budget.maxRssBytes = static_cast<std::size_t>(mb) << 20;
-    } else if (std::strncmp(argv[i], "--max-nodes=", 12) == 0) {
-      const long n = std::atol(argv[i] + 12);
-      if (n <= 0) {
-        std::fprintf(stderr, "%s: --max-nodes expects N > 0\n", argv[0]);
-        return 2;
-      }
-      budget.maxNodes = static_cast<std::size_t>(n);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--stats[=FILE]] [--trace=FILE] [--strict] "
-                   "[--threads N] [--timeout=SECS] [--max-memory=MB] "
-                   "[--max-nodes=N]\n"
-                   "       [--bundle=FILE] [--corner=NAME] "
-                   "[--corner-policy=reject|degrade]\n",
-                   argv[0]);
-      return 2;
-    }
-    if (threads < 0) {
-      std::fprintf(stderr, "%s: --threads expects N >= 0\n", argv[0]);
-      return 2;
-    }
-  }
 
-  // Ctrl-C / SIGTERM / the --timeout watchdog unwind through the engine's
-  // typed cancellation path instead of killing the process mid-write.
-  support::CancelToken cancelToken;
-  if (timeoutSecs > 0.0) cancelToken.setTimeout(timeoutSecs);
-  support::SignalCancelScope signalScope(&cancelToken);
-  support::CancelScope mainScope(&cancelToken);
+  tool::Tool cli(tool::kAllFeatures);
+  cli.toggle("--strict", &strict)
+      .integer("--threads", "N", &threads, 0)
+      .text("--bundle", "FILE", &bundlePath)
+      .text("--corner", "NAME", &cornerName)
+      .choice("--corner-policy", &cornerPolicy,
+              {{"reject", fleet::MissingCornerPolicy::Reject},
+               {"degrade", fleet::MissingCornerPolicy::Degrade}});
 
-  // Resource governance: node/memory ceilings turn runaway decks into a
-  // typed failure with exit code 7 (see support/budget.hpp).
-  budget.cancel = &cancelToken;
-  support::BudgetTracker budgetTracker(budget);
-  support::BudgetScope budgetScope(&budgetTracker);
+  return cli.run(argc, argv, [&](tool::Run& run) {
+    std::printf("deck-driven proximity measurement (NAND3, a falls 500 ps, "
+                "b falls 100 ps)\n\n");
+    // Thresholds from the paper's Section 2 rule for this cell (precomputed
+    // by bench_fig2_1; hard-coded here to keep the example self-contained).
+    const wave::Thresholds th{1.720, 3.681};
 
-  std::unique_ptr<obs::trace::TraceSession> traceSession;
-  if (!tracePath.empty()) {
-    traceSession = std::make_unique<obs::trace::TraceSession>();
-  }
-
-  std::printf("deck-driven proximity measurement (NAND3, a falls 500 ps, "
-              "b falls 100 ps)\n\n");
-  // Thresholds from the paper's Section 2 rule for this cell (precomputed by
-  // bench_fig2_1; hard-coded here to keep the example self-contained).
-  const wave::Thresholds th{1.720, 3.681};
-
-  int rc = 0;
-  try {
     std::printf("%12s %16s %14s\n", "s_ab [ps]", "out crossing [ps]",
                 "rise time [ps]");
     for (double sep : {-400.0, -200.0, 0.0, 200.0, 400.0}) {
@@ -335,60 +218,8 @@ int main(int argc, char** argv) {
                 "paths: the output\ncrossing moves earlier and the rise "
                 "sharpens -- Figure 1-2(a,b) straight from\na SPICE deck.\n");
 
-    if (stats || strict || !bundlePath.empty()) {
-      rc = runFullStackStage(strict, threads, &cancelToken, bundlePath,
+    if (!run.options().stats && !strict && bundlePath.empty()) return 0;
+    return runFullStackStage(strict, threads, run.cancel(), bundlePath,
                              cornerName, cornerPolicy);
-    }
-  } catch (const support::DiagnosticError& e) {
-    std::fprintf(stderr, "%s\n", e.diagnostic().toString().c_str());
-    // Best-effort stats on the unwind path so budget post-mortems (the
-    // support.budget.* counters) are visible in the report.
-    if (stats && !statsPath.empty()) {
-      try {
-        support::writeFileAtomic(statsPath,
-                                 [](std::ostream& os) { obs::writeJson(os); });
-        std::printf("stats report written to %s\n", statsPath.c_str());
-      } catch (const std::exception&) {
-      }
-    }
-    if (e.code() == support::StatusCode::Cancelled ||
-        e.code() == support::StatusCode::DeadlineExceeded) {
-      return 6;
-    }
-    if (e.code() == support::StatusCode::ResourceExhausted) return 7;
-    if (e.code() == support::StatusCode::StructuralError) return 8;
-    return 1;
-  }
-  if (stats) {
-    if (statsPath.empty()) {
-      std::printf("\n");
-      obs::writeJson(std::cout);
-    } else {
-      try {
-        // Atomic commit: a stats consumer polling the file never reads a
-        // torn JSON document, and a crash mid-dump leaves any previous
-        // report intact.
-        support::writeFileAtomic(statsPath,
-                                 [](std::ostream& os) { obs::writeJson(os); });
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 1;
-      }
-      std::printf("\nstats report written to %s\n", statsPath.c_str());
-    }
-  }
-  if (traceSession != nullptr) {
-    try {
-      support::writeFileAtomic(tracePath, [&](std::ostream& os) {
-        traceSession->exportJson(os);
-      });
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 1;
-    }
-    std::printf("trace written to %s (open in ui.perfetto.dev or "
-                "chrome://tracing)\n",
-                tracePath.c_str());
-  }
-  return rc;
+  });
 }

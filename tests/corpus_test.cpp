@@ -3,8 +3,8 @@
 // successfully or throws support::DiagnosticError.  Anything else -- a
 // foreign exception type, a crash, a sanitizer report (this test runs in
 // the ASan/UBSan CI job) -- is a contract violation.  Known-good seeds
-// (valid.journal, minimal_v1/v3.prox, report_v2.json, nand3.sp) must load;
-// known-bad seeds must be rejected with the expected typed code.
+// (valid.journal, minimal_v1/v3.prox, report_v2.json, nand3.sp, valid.argv)
+// must load; known-bad seeds must be rejected with the expected typed code.
 
 #include <algorithm>
 #include <filesystem>
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "cells/corner.hpp"
+#include "cli_table.hpp"
 #include "characterize/serialize.hpp"
 #include "fleet/bundle.hpp"
 #include "obs/report.hpp"
@@ -169,4 +170,22 @@ TEST(CorpusTest, JsonSeedsHonorContract) {
   EXPECT_FALSE(contains(accepted, "deep_nesting.json"));
   EXPECT_FALSE(contains(accepted, "huge_exponent.json"));
   EXPECT_FALSE(contains(accepted, "bad_unicode_escape.json"));
+}
+
+TEST(CorpusTest, CliSeedsHonorContract) {
+  const auto accepted = replayAll("cli", [](const std::string& bytes) {
+    prox::fuzz::parseCliBytes(bytes);
+  });
+  EXPECT_TRUE(contains(accepted, "valid.argv"));
+  EXPECT_TRUE(contains(accepted, "bare_stats.argv"));
+  EXPECT_TRUE(contains(accepted, "empty.argv"));
+  for (const char* rejected :
+       {"garbage_threads.argv", "prefix_number.argv",
+        "overflow_max_memory.argv", "negative_seed.argv", "wide_depth.argv",
+        "nan_timeout.argv", "zero_timeout.argv", "missing_value.argv",
+        "empty_value.argv", "unknown_flag.argv", "positional.argv",
+        "stats_space_file.argv", "toggle_with_value.argv", "bad_choice.argv",
+        "bad_list_item.argv", "overlong_number.argv", "embedded_junk.argv"}) {
+    EXPECT_FALSE(contains(accepted, rejected)) << rejected;
+  }
 }
