@@ -7,6 +7,8 @@
 
 #include "characterize/analytic.hpp"
 #include "obs/registry.hpp"
+#include "obs/scoped_timer.hpp"
+#include "obs/trace.hpp"
 
 namespace prox::sta {
 
@@ -311,11 +313,10 @@ BlifSummary buildFromParsed(const ParsedBlif& parsed, const GateLibrary& library
     ++summary.latches;
   }
 
-  // Gates.  Instance names are the output net, uniquified when multiple
-  // covers drive the same net (that multi-driver defect is recorded by the
-  // lenient add for the caller's StructuralPolicy to judge, not decided
-  // here).
-  std::unordered_set<std::string> usedNames;
+  // Gates.  Instance names are the output net, uniquified against the
+  // netlist's instance names when multiple covers drive the same net (that
+  // multi-driver defect is recorded by the lenient add for the caller's
+  // StructuralPolicy to judge, not decided here).
   for (const Cover& cover : parsed.covers) {
     const std::size_t k = cover.nets.size() - 1;
     const std::string& outNet = cover.nets.back();
@@ -336,11 +337,8 @@ BlifSummary buildFromParsed(const ParsedBlif& parsed, const GateLibrary& library
     const CharacterizedGate& cell =
         library.require(type, static_cast<int>(k), cover.line);
     std::string name = outNet;
-    if (!usedNames.insert(name).second) {
-      int n = 2;
-      do {
-        name = outNet + "#" + std::to_string(n++);
-      } while (!usedNames.insert(name).second);
+    for (int n = 2; netlist->findNode(name).valid(); ++n) {
+      name = outNet + "#" + std::to_string(n);
     }
     budget->chargeItems(k + 1, 48, "instance nets", cover.line);
     std::vector<std::string> inputNets(cover.nets.begin(),
@@ -367,6 +365,8 @@ BlifSummary parseText(std::string_view text, const GateLibrary& library,
   if (text.size() > options.limits.maxInputBytes) {
     failResource(kSite, "input exceeds size cap");
   }
+  PROX_OBS_SCOPED_TIMER("sta.blif.seconds");
+  PROX_OBS_SPAN("sta.blif");
   AllocationBudget budget(kSite, text.size(), options.limits);
   const ParsedBlif parsed = parseCards(text, options, &budget);
   return buildFromParsed(parsed, library, netlist, &budget);

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/registry.hpp"
+#include "obs/scoped_timer.hpp"
+#include "obs/trace.hpp"
 #include "support/budget.hpp"
 #include "support/diagnostic.hpp"
 
@@ -32,6 +35,44 @@ const char* issueCounter(StructuralIssue::Kind k) {
   return "sta.structural.unknown";
 }
 
+// Name index: an open-addressing table (power-of-two size, at most half
+// full) whose slots hold only ids into a name array, kInvalidIdValue = free.
+// Probes compare against names[id], so every name is stored once.
+
+/// Linear probe from @p name's home slot: the slot holding it, or the free
+/// slot where it would go.
+std::size_t probeName(const std::vector<std::uint32_t>& slots,
+                      std::string_view name,
+                      const std::vector<std::string>& names) {
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = std::hash<std::string_view>{}(name) & mask;
+  while (slots[i] != kInvalidIdValue && names[slots[i]] != name) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+/// Id of @p name in @p names; kInvalidIdValue when absent.
+std::uint32_t findName(const std::vector<std::uint32_t>& slots,
+                       std::string_view name,
+                       const std::vector<std::string>& names) {
+  return slots.empty() ? kInvalidIdValue
+                       : slots[probeName(slots, name, names)];
+}
+
+/// Indexes names.back() as id names.size() - 1 (it must be absent).
+void indexLastName(std::vector<std::uint32_t>& slots,
+                   const std::vector<std::string>& names) {
+  const bool grow = 2 * names.size() > slots.size();
+  if (grow) {
+    slots.assign(std::max<std::size_t>(16, 2 * slots.size()), kInvalidIdValue);
+  }
+  // A growth (2x, 16 at first) re-places every id, the new one included.
+  for (std::size_t id = grow ? 0 : names.size() - 1; id < names.size(); ++id) {
+    slots[probeName(slots, names[id], names)] = static_cast<std::uint32_t>(id);
+  }
+}
+
 }  // namespace
 
 const char* structuralKindName(StructuralIssue::Kind k) {
@@ -45,17 +86,16 @@ const char* structuralKindName(StructuralIssue::Kind k) {
 }
 
 NetId Netlist::internNet(const std::string& name) {
-  const auto [it, inserted] = netIndex_.try_emplace(name, NetId());
-  if (inserted) {
-    if (netNames_.size() >= kInvalidIdValue) {
-      throw std::length_error("Netlist: net count overflows 32-bit IDs");
-    }
-    it->second = NetId(netNames_.size());
-    netNames_.push_back(name);
-    netDriver_.emplace_back();
-    netIsPi_.push_back(0);
+  const NetId found(findName(netIndex_, name, netNames_));
+  if (found.valid()) return found;
+  if (netNames_.size() >= kInvalidIdValue) {
+    throw std::length_error("Netlist: net count overflows 32-bit IDs");
   }
-  return it->second;
+  netNames_.push_back(name);
+  indexLastName(netIndex_, netNames_);
+  netDriver_.emplace_back();
+  netIsPi_.push_back(0);
+  return NetId(netNames_.size() - 1);
 }
 
 NetId Netlist::addPrimaryInput(const std::string& net) {
@@ -75,36 +115,29 @@ NodeId Netlist::addInstance(const std::string& name,
   if (isDriven(outputNet)) {
     throw std::invalid_argument("Netlist: net multiply driven: " + outputNet);
   }
-  return addInstanceImpl(name, cell, inputNets, outputNet, false);
+  return addInstanceLenient(name, cell, inputNets, outputNet);
 }
 
 NodeId Netlist::addInstanceLenient(const std::string& name,
                                    const characterize::CharacterizedGate& cell,
                                    const std::vector<std::string>& inputNets,
                                    const std::string& outputNet) {
-  return addInstanceImpl(name, cell, inputNets, outputNet, true);
-}
-
-NodeId Netlist::addInstanceImpl(const std::string& name,
-                                const characterize::CharacterizedGate& cell,
-                                const std::vector<std::string>& inputNets,
-                                const std::string& outputNet, bool /*lenient*/) {
+  // Every check precedes the first write: a rejected instance leaves
+  // neither its name nor any of its nets behind.
   if (nodeCount() >= kInvalidIdValue) {
     throw std::length_error("Netlist: node count overflows 32-bit IDs");
   }
-  const auto [it, inserted] = nodeIndex_.try_emplace(name, NodeId());
-  if (!inserted) {
+  if (findNode(name).valid()) {
     throw std::invalid_argument("Netlist: duplicate instance: " + name);
   }
   if (static_cast<int>(inputNets.size()) != cell.pinCount()) {
-    nodeIndex_.erase(it);
     throw std::invalid_argument("Netlist: pin count mismatch on " + name);
   }
   support::budgetChargeNodes(1, kSite);
 
   const NodeId node(nodeCount());
-  it->second = node;
   nodeNames_.push_back(name);
+  indexLastName(nodeIndex_, nodeNames_);
   nodeCells_.push_back(&cell);
   for (const std::string& net : inputNets) {
     pinNets_.push_back(internNet(net));
@@ -125,13 +158,11 @@ NodeId Netlist::addInstanceImpl(const std::string& name,
 }
 
 NetId Netlist::findNet(const std::string& name) const {
-  const auto it = netIndex_.find(name);
-  return it == netIndex_.end() ? NetId() : it->second;
+  return NetId(findName(netIndex_, name, netNames_));
 }
 
 NodeId Netlist::findNode(const std::string& name) const {
-  const auto it = nodeIndex_.find(name);
-  return it == nodeIndex_.end() ? NodeId() : it->second;
+  return NodeId(findName(nodeIndex_, name, nodeNames_));
 }
 
 bool Netlist::isDriven(const std::string& net) const {
@@ -141,17 +172,19 @@ bool Netlist::isDriven(const std::string& net) const {
 }
 
 LevelizeResult Netlist::levelize(StructuralPolicy policy) const {
+  PROX_OBS_SCOPED_TIMER("sta.levelize.seconds");
+  PROX_OBS_SPAN("sta.levelize");
   LevelizeResult out;
   const std::size_t n = nodeCount();
   const bool reject = policy == StructuralPolicy::Reject;
 
   std::vector<char> degraded(n, 0);
-  const auto report = [&](StructuralIssue issue, const NodeId* degradeIdx) {
+  const auto report = [&](StructuralIssue issue, NodeId degrade) {
     PROX_OBS_COUNT(issueCounter(issue.kind), 1);
     if (reject) {
       failStructural("Netlist: " + issue.message);
     }
-    if (degradeIdx != nullptr) degraded[degradeIdx->value] = 1;
+    degraded[degrade.value] = 1;
     out.issues.push_back(std::move(issue));
   };
 
@@ -166,87 +199,95 @@ LevelizeResult Netlist::levelize(StructuralPolicy policy) const {
                          : std::string("primary input")) +
                     ")";
     issue.instances.push_back(nodeNames_[loser.value]);
-    report(std::move(issue), &loser);
+    report(std::move(issue), loser);
   }
 
-  // Dependency edges, straight off the pin CSR (ID-only).  deps[] mirrors
-  // consumers[] so cycle extraction can walk predecessors; dangling inputs
-  // either reject or become no-event nets (the consumer is marked degraded).
+  // Dependency edges, straight off the pin CSR (ID-only), as a counting-sort
+  // CSR: node d's consumers are consumers[consFirst[d] .. consFirst[d+1]),
+  // ascending.  Dangling inputs either reject or become no-event nets (the
+  // consumer is marked degraded).
+  const auto driverOf = [&](NetId net) {
+    return netIsPi_[net.value] != 0 ? NodeId() : netDriver_[net.value];
+  };
   std::vector<std::uint32_t> remaining(n, 0);
-  std::vector<std::vector<std::uint32_t>> consumers(n);
-  std::vector<std::vector<std::uint32_t>> deps(n);
+  std::vector<std::uint32_t> consFirst(n + 1, 0);
   for (std::uint32_t i = 0; i < n; ++i) {
     for (const NetId net : nodeInputs(NodeId(i))) {
-      if (netIsPi_[net.value] != 0) continue;
-      const NodeId driver = netDriver_[net.value];
-      if (!driver.valid()) {
+      if (const NodeId driver = driverOf(net); driver.valid()) {
+        ++consFirst[driver.value];
+        ++remaining[i];
+      } else if (netIsPi_[net.value] == 0) {
         StructuralIssue issue;
         issue.kind = StructuralIssue::Kind::DanglingInput;
         issue.message = "undriven input net " + netNames_[net.value] +
                         " on instance " + nodeNames_[i];
         issue.instances.push_back(nodeNames_[i]);
-        const NodeId self(i);
-        report(std::move(issue), &self);
-        continue;
+        report(std::move(issue), NodeId(i));
       }
-      consumers[driver.value].push_back(i);
-      deps[i].push_back(driver.value);
-      ++remaining[i];
+    }
+  }
+  for (std::size_t d = 0; d < n; ++d) consFirst[d + 1] += consFirst[d];
+  // consFirst[d] is now d's end; a backward pin walk leaves it d's start.
+  std::vector<std::uint32_t> consumers(consFirst[n]);
+  for (std::size_t a = pinNets_.size(); a-- > 0;) {
+    if (const NodeId d = driverOf(pinNets_[a]); d.valid()) {
+      consumers[--consFirst[d.value]] = arcNode_[a].value;
     }
   }
 
-  // Frontier-by-frontier Kahn: each frontier is one level.  When the
-  // frontier drains with nodes still unplaced, those nodes sit on or behind
-  // a cycle; Degrade breaks the cycle at its lowest-numbered member (a
-  // deterministic choice) and resumes, so the loop always terminates with
-  // every node placed exactly once.
-  std::vector<char> placedMark(n, 0);
-  std::size_t placed = 0;
-  out.order.reserve(n);
-  std::vector<std::uint32_t> frontier;
+  // Frontier-by-frontier Kahn: each frontier is one level, appended to the
+  // order as soon as it is known (order[head..] is still to expand), so a
+  // node is unplaced exactly while remaining[] is nonzero.  When the frontier
+  // drains with nodes still unplaced, those nodes sit on or behind a cycle;
+  // Degrade breaks the cycle at its lowest-numbered member (a deterministic
+  // choice) and resumes, so the loop always terminates with every node placed
+  // exactly once.
+  std::vector<NodeId>& order = out.order;
+  order.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (remaining[i] == 0) frontier.push_back(i);
+    if (remaining[i] == 0) order.push_back(NodeId(i));
   }
+  out.levelFirst.push_back(0);
+  std::vector<std::uint32_t> next;
+  std::vector<std::uint32_t> posInPath;  // sized at the first cycle
+  std::size_t head = 0;
+  std::uint32_t scan = 0;  // every node below scan is placed
   while (true) {
-    while (!frontier.empty()) {
-      std::vector<std::uint32_t> next;
-      for (const std::uint32_t i : frontier) {
-        out.order.push_back(NodeId(i));
-        placedMark[i] = 1;
-        ++placed;
-        for (const std::uint32_t c : consumers[i]) {
-          if (remaining[c] > 0 && --remaining[c] == 0 && placedMark[c] == 0) {
-            next.push_back(c);
-          }
+    while (head < order.size()) {
+      const std::size_t end = order.size();
+      for (; head < end; ++head) {
+        const std::uint32_t i = order[head].value;
+        for (std::uint32_t k = consFirst[i]; k < consFirst[i + 1]; ++k) {
+          const std::uint32_t c = consumers[k];
+          if (remaining[c] > 0 && --remaining[c] == 0) next.push_back(c);
         }
       }
-      // Declaration order within a level keeps task indices (and thus the
-      // deterministic fault-plan keying) independent of discovery order.
+      // Declaration order within a level keeps the schedule (and thus the
+      // chunking and the deterministic fault-plan keying) independent of
+      // discovery order.
       std::sort(next.begin(), next.end());
-      out.levelFirst.push_back(static_cast<std::uint32_t>(out.order.size()));
-      frontier = std::move(next);
+      for (const std::uint32_t c : next) order.push_back(NodeId(c));
+      next.clear();
+      out.levelFirst.push_back(static_cast<std::uint32_t>(end));
     }
-    if (placed == n) break;
+    if (order.size() == n) break;
 
-    // Stuck: extract one cycle by walking unplaced predecessors from the
-    // lowest-numbered unplaced node.  Every unplaced node has an unplaced
-    // dependency, so the walk must revisit a node.
-    std::uint32_t start = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (placedMark[i] == 0) {
-        start = i;
-        break;
-      }
-    }
+    // Stuck: extract one cycle by walking unplaced predecessors (first in
+    // pin order) from the lowest-numbered unplaced node.  Every unplaced node
+    // has an unplaced dependency, so the walk must revisit a node.
+    // posInPath is a sparse set: cur is on the path only when its entry
+    // points back at it, so stale entries from earlier walks need no reset.
+    while (remaining[scan] == 0) ++scan;
+    posInPath.resize(n);
     std::vector<std::uint32_t> path;
-    std::vector<std::uint32_t> posInPath(n, static_cast<std::uint32_t>(n));
-    std::uint32_t cur = start;
-    while (posInPath[cur] == n) {
+    std::uint32_t cur = scan;
+    while (posInPath[cur] >= path.size() || path[posInPath[cur]] != cur) {
       posInPath[cur] = static_cast<std::uint32_t>(path.size());
       path.push_back(cur);
-      for (const std::uint32_t d : deps[cur]) {
-        if (placedMark[d] == 0) {
-          cur = d;
+      for (const NetId net : nodeInputs(NodeId(cur))) {
+        const NodeId driver = driverOf(net);
+        if (driver.valid() && remaining[driver.value] != 0) {
+          cur = driver.value;
           break;
         }
       }
@@ -259,33 +300,28 @@ LevelizeResult Netlist::levelize(StructuralPolicy policy) const {
     StructuralIssue issue;
     issue.kind = cycle.size() == 1 ? StructuralIssue::Kind::SelfLoop
                                    : StructuralIssue::Kind::Cycle;
-    for (const std::uint32_t i : cycle) issue.instances.push_back(nodeNames_[i]);
-    std::string pathText;
-    for (const std::string& name : issue.instances) {
-      pathText += name;
-      pathText += " -> ";
+    issue.message = cycle.size() == 1 ? "self-loop detected: "
+                                      : "combinational cycle detected: ";
+    for (const std::uint32_t i : cycle) {
+      issue.instances.push_back(nodeNames_[i]);
+      issue.message += nodeNames_[i] + " -> ";
     }
-    pathText += issue.instances.front();
-    issue.message = std::string(cycle.size() == 1 ? "self-loop"
-                                                  : "combinational cycle") +
-                    " detected: " + pathText;
+    issue.message += issue.instances.front();
 
     const NodeId breaker(*std::min_element(cycle.begin(), cycle.end()));
-    report(std::move(issue), &breaker);
+    report(std::move(issue), breaker);
     PROX_OBS_COUNT("sta.structural.loop_breaks", 1);
     remaining[breaker.value] = 0;
-    frontier.assign(1, breaker.value);
+    order.push_back(breaker);
   }
 
-  // levelFirst currently holds each level's end offset; prepend the start.
-  out.levelFirst.insert(out.levelFirst.begin(), 0);
   for (std::uint32_t i = 0; i < n; ++i) {
     if (degraded[i] != 0) {
       out.degradedNodes.push_back(NodeId(i));
       out.degradedInstances.push_back(nodeNames_[i]);
     }
   }
-  PROX_OBS_COUNT("sta.graph.nodes_levelized", placed);
+  PROX_OBS_COUNT("sta.graph.nodes_levelized", order.size());
   PROX_OBS_COUNT("sta.graph.levels", out.levelCount());
   return out;
 }

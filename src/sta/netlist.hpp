@@ -19,7 +19,6 @@
 
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "characterize/characterize.hpp"
@@ -161,23 +160,19 @@ class Netlist {
  private:
   /// Interns @p name, growing the per-net arrays.
   NetId internNet(const std::string& name);
-  NodeId addInstanceImpl(const std::string& name,
-                         const characterize::CharacterizedGate& cell,
-                         const std::vector<std::string>& inputNets,
-                         const std::string& outputNet, bool lenient);
 
   // Per-net arrays, indexed by NetId.
   std::vector<std::string> netNames_;
   std::vector<NodeId> netDriver_;
   std::vector<char> netIsPi_;
-  std::unordered_map<std::string, NetId> netIndex_;  // build/boundary only
+  std::vector<std::uint32_t> netIndex_;  // name index over netNames_
   std::vector<NetId> primaryInputs_;
 
   // Per-node arrays, indexed by NodeId.
   std::vector<std::string> nodeNames_;
   std::vector<const characterize::CharacterizedGate*> nodeCells_;
   std::vector<NetId> nodeOutput_;
-  std::unordered_map<std::string, NodeId> nodeIndex_;  // build/boundary only
+  std::vector<std::uint32_t> nodeIndex_;  // name index over nodeNames_
 
   // Pin CSR, indexed by ArcId: node n's pins are
   // pinNets_[pinFirst_[n] .. pinFirst_[n+1]).

@@ -23,6 +23,8 @@
 
 #include "sta/blif.hpp"
 #include "sta/timing_graph.hpp"
+#include "support/diagnostic.hpp"
+#include "tool/runtime.hpp"
 
 namespace {
 
@@ -177,6 +179,76 @@ TEST_F(BlifStaGolden, ProximityDisagreesWithClassicOnStackedPaths) {
   // wider transition window still reshapes the slope.
   EXPECT_DOUBLE_EQ(prox.arrival("o5")->time, classic.arrival("o5")->time);
   EXPECT_GT(prox.arrival("o5")->slope, classic.arrival("o5")->slope);
+}
+
+// --- Instance naming for multiply-driven nets --------------------------------
+
+// Three inverter covers all drive net x.
+constexpr const char* kTripleDriver = R"(.model dup
+.inputs a b c
+.outputs x
+.names a x
+0 1
+.names b x
+0 1
+.names c x
+0 1
+.end
+)";
+
+TEST(BlifInstanceNames, MultiplyDrivenNetIsUniquifiedAndRejected) {
+  // '#' opens a comment in BLIF text, so a net literally named "x#2" can only
+  // come from the netlist the reader extends.  Instance and net names are
+  // separate namespaces: the net must not push the uniquifier past x#2.
+  sta::Netlist nl;
+  nl.addPrimaryInput("x#2");
+  const auto summary = sta::readBlifString(kTripleDriver, library(), &nl);
+  EXPECT_EQ(summary.gates, 3u);
+  ASSERT_EQ(nl.nodeCount(), 3u);
+  const sta::NetId x = nl.findNet("x");
+  const char* const names[] = {"x", "x#2", "x#3"};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(nl.nodeName(sta::NodeId(i)), names[i]);
+    EXPECT_EQ(nl.findNode(names[i]).value, i);
+    EXPECT_EQ(nl.nodeOutput(sta::NodeId(i)), x);
+  }
+  EXPECT_TRUE(nl.netIsPrimaryInput(nl.findNet("x#2")));
+  EXPECT_EQ(nl.netDriver(x).value, 0u);
+
+  const auto issues = nl.validate();
+  ASSERT_EQ(issues.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(issues[i].kind, sta::StructuralIssue::Kind::MultiDriver);
+    EXPECT_EQ(issues[i].instances, std::vector<std::string>{names[i + 1]});
+    EXPECT_EQ(issues[i].message,
+              std::string("net multiply driven: x (instance ") + names[i + 1] +
+                  " loses to x)");
+  }
+
+  // Reject (the analyzer's default) stops at the first loser with a
+  // StructuralError, which the tools turn into exit 8.
+  sta::TimingAnalyzer ta(nl, DelayMode::Proximity);
+  try {
+    ta.run();
+    ADD_FAILURE() << "Reject must not analyze a multiply-driven net";
+  } catch (const support::DiagnosticError& e) {
+    EXPECT_EQ(e.code(), support::StatusCode::StructuralError);
+    EXPECT_EQ(e.diagnostic().message,
+              "Netlist: net multiply driven: x (instance x#2 loses to x)");
+    EXPECT_EQ(tool::exitCodeFor(e.code()), tool::kExitStructural);
+  }
+}
+
+TEST(BlifInstanceNames, UniquifierSkipsInstancesAlreadyInTheNetlist) {
+  sta::Netlist nl;
+  nl.addPrimaryInput("p");
+  nl.addInstance("x#2", *library().find(cells::GateType::Inverter, 1), {"p"},
+                 "q");
+  sta::readBlifString(kTripleDriver, library(), &nl);
+  ASSERT_EQ(nl.nodeCount(), 4u);
+  EXPECT_EQ(nl.nodeName(sta::NodeId(1u)), "x");
+  EXPECT_EQ(nl.nodeName(sta::NodeId(2u)), "x#3");
+  EXPECT_EQ(nl.nodeName(sta::NodeId(3u)), "x#4");
 }
 
 }  // namespace

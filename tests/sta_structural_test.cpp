@@ -3,12 +3,17 @@
 // DelayCalcOptions::structural degradation ladder exercised end-to-end
 // through TimingAnalyzer at both settings (Reject throws a typed
 // StructuralError; Degrade completes with the defect tallied in
-// structuralIssues()/degradedArcNames()).
+// structuralIssues()/degradedArcNames()), plus a property test holding the
+// CSR levelize() to the reference levelizer in levelize_reference.hpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <set>
 
+#include "levelize_reference.hpp"
+#include "sta/synth.hpp"
 #include "sta/timing_graph.hpp"
 #include "support/diagnostic.hpp"
 #include "test_util.hpp"
@@ -190,6 +195,142 @@ TEST(StructuralLadder, DegradeOnCleanGraphReportsNothing) {
   EXPECT_TRUE(ta.structuralIssues().empty());
   EXPECT_TRUE(ta.degradedArcNames().empty());
   EXPECT_EQ(ta.degradedArcs(), 0u);
+}
+
+// --- CSR levelize vs the reference levelizer ---------------------------------
+
+/// A small gen_circuit netlist (seed-sized, up to 6 layers x 7 gates) with
+/// defects injected deterministically from the seed: self-loops, back edges
+/// to same-or-deeper layers (cycles), undriven inputs, and outputs that
+/// re-drive a gate net or a primary input.  Instances are declared in a
+/// seed-shuffled order so the within-level sort does real work.  Every
+/// fourth seed injects nothing.
+Netlist defectiveCircuit(std::uint64_t seed) {
+  sta::SynthSpec spec;
+  spec.seed = seed;
+  spec.depth = 2 + static_cast<std::uint32_t>(seed % 5);
+  spec.width = 2 + static_cast<std::uint32_t>((seed / 5) % 6);
+  spec.primaryInputs = 3;
+  const std::uint64_t percent = (seed % 4) * 4;
+  const auto roll = [&](std::uint64_t gate, std::uint64_t slot,
+                        std::uint64_t mod) {
+    return sta::synthRandom(seed, gate, 1000 + slot) % mod;
+  };
+  const auto gateNet = [&](std::uint64_t index) {
+    return "n" + std::to_string(index / spec.width) + "_" +
+           std::to_string(index % spec.width);
+  };
+  static const sta::GateLibrary library = sta::analyticLibrary();
+
+  Netlist nl;
+  for (std::uint32_t k = 0; k < spec.primaryInputs; ++k) {
+    nl.addPrimaryInput("pi" + std::to_string(k));
+  }
+  const std::uint64_t gates = spec.gateCount();
+  std::vector<std::uint64_t> declOrder(gates);
+  std::iota(declOrder.begin(), declOrder.end(), 0);
+  for (std::uint64_t i = gates; i-- > 1;) {
+    std::swap(declOrder[i], declOrder[roll(i, 0, i + 1)]);
+  }
+  for (const std::uint64_t index : declOrder) {
+    const std::uint64_t layer = index / spec.width;
+    const sta::SynthGate gate = sta::synthGateAt(spec, index);
+    std::vector<std::string> inputs;
+    for (const std::uint32_t src : gate.sources) {
+      inputs.push_back(layer == 0
+                           ? "pi" + std::to_string(src)
+                           : gateNet((layer - 1) * spec.width + src));
+    }
+    std::string output = gateNet(index);
+    const std::uint64_t pin = roll(index, 1, inputs.size());
+    if (roll(index, 2, 100) < percent) {
+      inputs[pin] = output;  // self-loop
+    } else if (roll(index, 3, 100) < percent) {
+      // Back edge into this layer or a deeper one.
+      const std::uint64_t first = layer * spec.width;
+      inputs[pin] = gateNet(first + roll(index, 4, gates - first));
+    }
+    if (roll(index, 5, 100) < percent) {
+      inputs[roll(index, 6, inputs.size())] = "dangle" + std::to_string(index);
+    }
+    if (roll(index, 7, 100) < percent) {
+      output = roll(index, 8, 4) == 0 ? "pi0" : gateNet(roll(index, 9, gates));
+    }
+    nl.addInstanceLenient(
+        "u" + std::to_string(index),
+        library.require(gate.type, static_cast<int>(inputs.size())), inputs,
+        output);
+  }
+  return nl;
+}
+
+std::vector<std::uint32_t> idValues(const std::vector<sta::NodeId>& ids) {
+  std::vector<std::uint32_t> v;
+  for (const sta::NodeId id : ids) v.push_back(id.value);
+  return v;
+}
+
+void expectSameLevelization(const sta::LevelizeResult& got,
+                            const sta::LevelizeResult& want) {
+  EXPECT_EQ(idValues(got.order), idValues(want.order));
+  EXPECT_EQ(got.levelFirst, want.levelFirst);
+  ASSERT_EQ(got.issues.size(), want.issues.size());
+  for (std::size_t i = 0; i < got.issues.size(); ++i) {
+    EXPECT_EQ(got.issues[i].kind, want.issues[i].kind) << "issue " << i;
+    EXPECT_EQ(got.issues[i].message, want.issues[i].message);
+    EXPECT_EQ(got.issues[i].instances, want.issues[i].instances);
+  }
+  EXPECT_EQ(idValues(got.degradedNodes), idValues(want.degradedNodes));
+  EXPECT_EQ(got.degradedInstances, want.degradedInstances);
+}
+
+/// The Reject outcome of @p levelize: the thrown diagnostic's message, or
+/// empty when the graph levelized.
+template <class Fn>
+std::string rejectMessage(Fn&& levelize, sta::LevelizeResult* result) {
+  try {
+    *result = levelize();
+  } catch (const DiagnosticError& e) {
+    EXPECT_EQ(e.code(), StatusCode::StructuralError);
+    EXPECT_EQ(e.diagnostic().site, "sta.netlist");
+    return e.diagnostic().message;
+  }
+  return {};
+}
+
+TEST(LevelizeOracle, CsrLevelizeMatchesReferenceOnDefectiveCircuits) {
+  std::set<Kind> kindsSeen;
+  int cleanSeeds = 0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Netlist nl = defectiveCircuit(seed);
+
+    const sta::LevelizeResult degraded =
+        nl.levelize(StructuralPolicy::Degrade);
+    expectSameLevelization(
+        degraded, testutil::referenceLevelize(nl, StructuralPolicy::Degrade));
+    ASSERT_EQ(degraded.order.size(), nl.nodeCount());
+    for (const StructuralIssue& issue : degraded.issues) {
+      kindsSeen.insert(issue.kind);
+    }
+    if (degraded.issues.empty()) ++cleanSeeds;
+
+    sta::LevelizeResult got, want;
+    const std::string gotMsg = rejectMessage(
+        [&] { return nl.levelize(StructuralPolicy::Reject); }, &got);
+    const std::string wantMsg = rejectMessage(
+        [&] {
+          return testutil::referenceLevelize(nl, StructuralPolicy::Reject);
+        },
+        &want);
+    EXPECT_EQ(gotMsg, wantMsg);
+    EXPECT_EQ(gotMsg.empty(), degraded.issues.empty());
+    if (gotMsg.empty()) expectSameLevelization(got, want);
+  }
+  // The injection must reach every defect kind and leave clean seeds too.
+  EXPECT_EQ(kindsSeen, (std::set<Kind>{Kind::Cycle, Kind::SelfLoop,
+                                      Kind::MultiDriver, Kind::DanglingInput}));
+  EXPECT_GE(cleanSeeds, 15);
 }
 
 }  // namespace

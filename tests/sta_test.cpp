@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sta/blif.hpp"
 #include "sta/timing_graph.hpp"
 #include "test_util.hpp"
 
@@ -39,6 +40,66 @@ TEST(Netlist, RejectsPinCountMismatch) {
   sta::Netlist nl;
   nl.addPrimaryInput("a");
   EXPECT_THROW(nl.addInstance("u1", cell, {"a"}, "y"), std::invalid_argument);
+}
+
+TEST(Netlist, NameIndexRoundTripsEveryNameInInsertionOrder) {
+  static const sta::GateLibrary lib = sta::analyticLibrary();
+  const auto& inv = lib.require(cells::GateType::Inverter, 1);
+  sta::Netlist nl;
+  nl.addPrimaryInput("in");
+  // 100k instances and 100k+1 nets: both indexes grow many times over.
+  constexpr std::uint32_t kNodes = 100000;
+  for (std::uint32_t i = 0; i < kNodes; ++i) {
+    const std::string prev = i == 0 ? "in" : "w" + std::to_string(i - 1);
+    const sta::NodeId id = nl.addInstance("g" + std::to_string(i), inv, {prev},
+                                          "w" + std::to_string(i));
+    ASSERT_EQ(id.value, i);
+  }
+  ASSERT_EQ(nl.nodeCount(), kNodes);
+  ASSERT_EQ(nl.netCount(), kNodes + 1);
+  EXPECT_EQ(nl.findNet("in").value, 0u);
+  for (std::uint32_t i = 0; i < kNodes; ++i) {
+    const std::string node = "g" + std::to_string(i);
+    const std::string net = "w" + std::to_string(i);
+    ASSERT_EQ(nl.findNode(node).value, i);
+    ASSERT_EQ(nl.findNet(net).value, i + 1);
+    ASSERT_EQ(nl.nodeName(sta::NodeId(i)), node);
+    ASSERT_EQ(nl.netName(sta::NetId(i + 1)), net);
+  }
+  for (const std::string miss :
+       {"", "g", "w", "g100000", "w100000", "g-1", "in ", "G7", "g07"}) {
+    EXPECT_FALSE(nl.findNode(miss).valid()) << miss;
+    EXPECT_FALSE(nl.findNet(miss).valid()) << miss;
+  }
+  // The two namespaces are separate: net names are not instances.
+  EXPECT_FALSE(nl.findNode("w5").valid());
+  EXPECT_FALSE(nl.findNet("g5").valid());
+}
+
+TEST(Netlist, RejectedInstanceLeavesNoNameBehind) {
+  const auto& cell = testutil::nand2Model();
+  sta::Netlist nl;
+  nl.addPrimaryInput("a");
+  nl.addPrimaryInput("b");
+  nl.addInstance("u1", cell, {"a", "b"}, "y");
+  const std::size_t nodes = nl.nodeCount();
+  const std::size_t nets = nl.netCount();
+
+  EXPECT_THROW(nl.addInstanceLenient("u1", cell, {"a", "fresh_in"}, "z"),
+               std::invalid_argument);
+  EXPECT_THROW(nl.addInstanceLenient("u2", cell, {"a"}, "z"),
+               std::invalid_argument);
+  EXPECT_EQ(nl.nodeCount(), nodes);
+  EXPECT_EQ(nl.netCount(), nets);
+  EXPECT_EQ(nl.findNode("u1").value, 0u);
+  EXPECT_FALSE(nl.findNode("u2").valid());
+  EXPECT_FALSE(nl.findNet("fresh_in").valid());
+  EXPECT_FALSE(nl.findNet("z").valid());
+
+  // The rejected name stays free for a well-formed instance.
+  EXPECT_EQ(nl.addInstance("u2", cell, {"a", "y"}, "z").value, nodes);
+  EXPECT_EQ(nl.findNode("u2").value, nodes);
+  EXPECT_EQ(nl.findNet("z").value, nets);
 }
 
 TEST(Netlist, TopologicalOrderRespectsDependencies) {
