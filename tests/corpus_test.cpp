@@ -131,12 +131,33 @@ TEST(CorpusTest, BlifSeedsHonorContract) {
     prox::sta::Netlist nl;
     prox::sta::readBlifString(bytes, lib, &nl);
   });
-  EXPECT_TRUE(contains(accepted, "mini_bench.blif"));
+  for (const char* valid :
+       {"mini_bench.blif", "crlf.blif", "continued_header.blif",
+        "midline_comment.blif", "latch_constant.blif", "triple_driver.blif"}) {
+    EXPECT_TRUE(contains(accepted, valid)) << valid;
+  }
   EXPECT_FALSE(contains(accepted, "truncated_card.blif"));
   EXPECT_FALSE(contains(accepted, "unterminated_names.blif"));
   EXPECT_FALSE(contains(accepted, "duplicate_model.blif"));
   EXPECT_FALSE(contains(accepted, "huge_fanin.blif"));
   EXPECT_FALSE(contains(accepted, "nonascii_junk.blif"));
+}
+
+TEST(CorpusTest, BlifTripleDriverSeedIsUniquifiedNotRejected) {
+  static const prox::sta::GateLibrary lib = prox::sta::analyticLibrary();
+  prox::sta::Netlist nl;
+  prox::sta::readBlifString(
+      readAll(fs::path(PROX_CORPUS_DIR) / "blif" / "triple_driver.blif"), lib,
+      &nl);
+  ASSERT_EQ(nl.nodeCount(), 3u);
+  EXPECT_EQ(nl.nodeName(prox::sta::NodeId(0u)), "x");
+  EXPECT_EQ(nl.nodeName(prox::sta::NodeId(1u)), "x#2");
+  EXPECT_EQ(nl.nodeName(prox::sta::NodeId(2u)), "x#3");
+  const auto issues = nl.validate();
+  ASSERT_EQ(issues.size(), 2u);
+  for (const auto& issue : issues) {
+    EXPECT_EQ(issue.kind, prox::sta::StructuralIssue::Kind::MultiDriver);
+  }
 }
 
 TEST(CorpusTest, CornersSeedsHonorContract) {
