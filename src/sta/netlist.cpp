@@ -1,6 +1,8 @@
 #include "sta/netlist.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <stdexcept>
 #include <string_view>
 
@@ -37,40 +39,68 @@ const char* issueCounter(StructuralIssue::Kind k) {
 
 // Name index: an open-addressing table (power-of-two size, at most half
 // full) whose slots hold only ids into a name array, kInvalidIdValue = free.
-// Probes compare against names[id], so every name is stored once.
+// Beside the names sits each one's 32-bit hash: a probe compares it before
+// touching the string, and growth re-places ids from it without hashing a
+// name again.  Every name is stored once.
 
-/// Linear probe from @p name's home slot: the slot holding it, or the free
-/// slot where it would go.
+std::uint32_t hashName(std::string_view name) {
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
+}
+
+/// Linear probe from @p hash's home slot: the slot holding @p name, or the
+/// free slot where it would go.  @p slots must be non-empty.
 std::size_t probeName(const std::vector<std::uint32_t>& slots,
-                      std::string_view name,
-                      const std::vector<std::string>& names) {
+                      std::string_view name, std::uint32_t hash,
+                      const std::vector<std::string>& names,
+                      const std::vector<std::uint32_t>& hashes) {
   const std::size_t mask = slots.size() - 1;
-  std::size_t i = std::hash<std::string_view>{}(name) & mask;
-  while (slots[i] != kInvalidIdValue && names[slots[i]] != name) {
-    i = (i + 1) & mask;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const std::uint32_t id = slots[i];
+    if (id == kInvalidIdValue || (hashes[id] == hash && names[id] == name)) {
+      return i;
+    }
   }
-  return i;
 }
 
 /// Id of @p name in @p names; kInvalidIdValue when absent.
 std::uint32_t findName(const std::vector<std::uint32_t>& slots,
                        std::string_view name,
-                       const std::vector<std::string>& names) {
-  return slots.empty() ? kInvalidIdValue
-                       : slots[probeName(slots, name, names)];
+                       const std::vector<std::string>& names,
+                       const std::vector<std::uint32_t>& hashes) {
+  return slots.empty()
+             ? kInvalidIdValue
+             : slots[probeName(slots, name, hashName(name), names, hashes)];
 }
 
-/// Indexes names.back() as id names.size() - 1 (it must be absent).
-void indexLastName(std::vector<std::uint32_t>& slots,
-                   const std::vector<std::string>& names) {
-  const bool grow = 2 * names.size() > slots.size();
-  if (grow) {
-    slots.assign(std::max<std::size_t>(16, 2 * slots.size()), kInvalidIdValue);
+/// Rebuilds @p slots at @p size slots, placing every id by its stored hash.
+void placeAll(std::vector<std::uint32_t>& slots, std::size_t size,
+              const std::vector<std::uint32_t>& hashes) {
+  slots.assign(size, kInvalidIdValue);
+  const std::size_t mask = size - 1;
+  for (std::size_t id = 0; id < hashes.size(); ++id) {
+    std::size_t i = hashes[id] & mask;
+    while (slots[i] != kInvalidIdValue) i = (i + 1) & mask;
+    slots[i] = static_cast<std::uint32_t>(id);
   }
-  // A growth (2x, 16 at first) re-places every id, the new one included.
-  for (std::size_t id = grow ? 0 : names.size() - 1; id < names.size(); ++id) {
-    slots[probeName(slots, names[id], names)] = static_cast<std::uint32_t>(id);
+}
+
+/// Indexes the newest name (id hashes.size() - 1) at @p slot, the free slot
+/// its probe ended on, growing the table (2x, 16 at first) instead when it
+/// would be more than half full.
+void indexLastName(std::vector<std::uint32_t>& slots, std::size_t slot,
+                   const std::vector<std::uint32_t>& hashes) {
+  if (2 * hashes.size() > slots.size()) {
+    placeAll(slots, std::max<std::size_t>(16, 2 * slots.size()), hashes);
+  } else {
+    slots[slot] = static_cast<std::uint32_t>(hashes.size() - 1);
   }
+}
+
+/// Sizes @p slots to hold @p count names at most half full.
+void reserveIndex(std::vector<std::uint32_t>& slots, std::size_t count,
+                  const std::vector<std::uint32_t>& hashes) {
+  const std::size_t size = std::bit_ceil(std::max<std::size_t>(16, 2 * count));
+  if (size > slots.size()) placeAll(slots, size, hashes);
 }
 
 }  // namespace
@@ -85,24 +115,48 @@ const char* structuralKindName(StructuralIssue::Kind k) {
   return "?";
 }
 
-NetId Netlist::internNet(const std::string& name) {
-  const NetId found(findName(netIndex_, name, netNames_));
-  if (found.valid()) return found;
+void Netlist::reserve(std::size_t nodes, std::size_t nets, std::size_t pins) {
+  netNames_.reserve(nets);
+  netHash_.reserve(nets);
+  netDriver_.reserve(nets);
+  netIsPi_.reserve(nets);
+  reserveIndex(netIndex_, nets, netHash_);
+  nodeNames_.reserve(nodes);
+  nodeHash_.reserve(nodes);
+  nodeCells_.reserve(nodes);
+  nodeOutput_.reserve(nodes);
+  pinFirst_.reserve(nodes + 1);
+  reserveIndex(nodeIndex_, nodes, nodeHash_);
+  pinNets_.reserve(pins);
+  arcNode_.reserve(pins);
+}
+
+NetId Netlist::internNet(std::string_view name) {
+  const std::uint32_t hash = hashName(name);
+  std::size_t slot = 0;
+  if (!netIndex_.empty()) {
+    slot = probeName(netIndex_, name, hash, netNames_, netHash_);
+    if (netIndex_[slot] != kInvalidIdValue) return NetId(netIndex_[slot]);
+  }
   if (netNames_.size() >= kInvalidIdValue) {
     throw std::length_error("Netlist: net count overflows 32-bit IDs");
   }
-  netNames_.push_back(name);
-  indexLastName(netIndex_, netNames_);
+  netNames_.emplace_back(name);
+  netHash_.push_back(hash);
+  indexLastName(netIndex_, slot, netHash_);
   netDriver_.emplace_back();
   netIsPi_.push_back(0);
   return NetId(netNames_.size() - 1);
 }
 
-NetId Netlist::addPrimaryInput(const std::string& net) {
-  if (isDriven(net)) {
-    throw std::invalid_argument("Netlist: net already driven: " + net);
-  }
+NetId Netlist::addPrimaryInput(std::string_view net) {
+  // A driven net already exists, so interning it first writes nothing
+  // before the throw.
   const NetId id = internNet(net);
+  if (netIsPi_[id.value] != 0 || netDriver_[id.value].valid()) {
+    throw std::invalid_argument("Netlist: net already driven: " +
+                                std::string(net));
+  }
   netIsPi_[id.value] = 1;
   primaryInputs_.push_back(id);
   return id;
@@ -122,24 +176,48 @@ NodeId Netlist::addInstanceLenient(const std::string& name,
                                    const characterize::CharacterizedGate& cell,
                                    const std::vector<std::string>& inputNets,
                                    const std::string& outputNet) {
+  const std::vector<std::string_view> pins(inputNets.begin(), inputNets.end());
+  return addInstanceLenient(std::string_view(name), cell, pins, outputNet);
+}
+
+NodeId Netlist::addInstanceLenient(std::string_view name,
+                                   const characterize::CharacterizedGate& cell,
+                                   std::span<const std::string_view> inputNets,
+                                   std::string_view outputNet) {
+  const NodeId node = tryAddInstanceLenient(name, cell, inputNets, outputNet);
+  if (!node.valid()) {
+    throw std::invalid_argument("Netlist: duplicate instance: " +
+                                std::string(name));
+  }
+  return node;
+}
+
+NodeId Netlist::tryAddInstanceLenient(
+    std::string_view name, const characterize::CharacterizedGate& cell,
+    std::span<const std::string_view> inputNets, std::string_view outputNet) {
   // Every check precedes the first write: a rejected instance leaves
   // neither its name nor any of its nets behind.
   if (nodeCount() >= kInvalidIdValue) {
     throw std::length_error("Netlist: node count overflows 32-bit IDs");
   }
-  if (findNode(name).valid()) {
-    throw std::invalid_argument("Netlist: duplicate instance: " + name);
+  const std::uint32_t hash = hashName(name);
+  std::size_t slot = 0;
+  if (!nodeIndex_.empty()) {
+    slot = probeName(nodeIndex_, name, hash, nodeNames_, nodeHash_);
+    if (nodeIndex_[slot] != kInvalidIdValue) return NodeId();
   }
   if (static_cast<int>(inputNets.size()) != cell.pinCount()) {
-    throw std::invalid_argument("Netlist: pin count mismatch on " + name);
+    throw std::invalid_argument("Netlist: pin count mismatch on " +
+                                std::string(name));
   }
   support::budgetChargeNodes(1, kSite);
 
   const NodeId node(nodeCount());
-  nodeNames_.push_back(name);
-  indexLastName(nodeIndex_, nodeNames_);
+  nodeNames_.emplace_back(name);
+  nodeHash_.push_back(hash);
+  indexLastName(nodeIndex_, slot, nodeHash_);
   nodeCells_.push_back(&cell);
-  for (const std::string& net : inputNets) {
+  for (const std::string_view net : inputNets) {
     pinNets_.push_back(internNet(net));
     arcNode_.push_back(node);
   }
@@ -157,15 +235,15 @@ NodeId Netlist::addInstanceLenient(const std::string& name,
   return node;
 }
 
-NetId Netlist::findNet(const std::string& name) const {
-  return NetId(findName(netIndex_, name, netNames_));
+NetId Netlist::findNet(std::string_view name) const {
+  return NetId(findName(netIndex_, name, netNames_, netHash_));
 }
 
-NodeId Netlist::findNode(const std::string& name) const {
-  return NodeId(findName(nodeIndex_, name, nodeNames_));
+NodeId Netlist::findNode(std::string_view name) const {
+  return NodeId(findName(nodeIndex_, name, nodeNames_, nodeHash_));
 }
 
-bool Netlist::isDriven(const std::string& net) const {
+bool Netlist::isDriven(std::string_view net) const {
   const NetId id = findNet(net);
   if (!id.valid()) return false;
   return netIsPi_[id.value] != 0 || netDriver_[id.value].valid();

@@ -19,6 +19,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "characterize/characterize.hpp"
@@ -74,9 +75,14 @@ struct LevelizeResult {
 
 class Netlist {
  public:
+  /// Pre-sizes the arena and both name indexes for @p nodes instances,
+  /// @p nets nets and @p pins input pins in total, so a build that stays
+  /// within them never grows an array or re-places an index.
+  void reserve(std::size_t nodes, std::size_t nets, std::size_t pins);
+
   /// Declares a primary input net.  Throws std::invalid_argument when the
   /// net is already driven.
-  NetId addPrimaryInput(const std::string& net);
+  NetId addPrimaryInput(std::string_view net);
 
   /// Adds a cell instance.  Throws std::invalid_argument on pin-count
   /// mismatch, duplicate instance name, or multiply-driven output net.
@@ -90,10 +96,23 @@ class Netlist {
   /// throwing (the first driver keeps the net).  Duplicate instance names
   /// and pin-count mismatches still throw std::invalid_argument -- those are
   /// caller bugs, not input properties.
+  NodeId addInstanceLenient(std::string_view name,
+                            const characterize::CharacterizedGate& cell,
+                            std::span<const std::string_view> inputNets,
+                            std::string_view outputNet);
   NodeId addInstanceLenient(const std::string& name,
                             const characterize::CharacterizedGate& cell,
                             const std::vector<std::string>& inputNets,
                             const std::string& outputNet);
+
+  /// addInstanceLenient, except that a taken @p name writes nothing and
+  /// returns an invalid NodeId instead of throwing.  One index probe both
+  /// checks and claims the name, so a front end that picks its own fallback
+  /// names (the BLIF reader's "x#2") probes each candidate once.
+  NodeId tryAddInstanceLenient(std::string_view name,
+                               const characterize::CharacterizedGate& cell,
+                               std::span<const std::string_view> inputNets,
+                               std::string_view outputNet);
 
   // --- Arena accessors (hot path: all O(1), no strings) ---------------------
 
@@ -127,11 +146,11 @@ class Netlist {
   // --- String boundary (cold path) ------------------------------------------
 
   /// The net / instance named @p name; invalid ID when unknown.
-  NetId findNet(const std::string& name) const;
-  NodeId findNode(const std::string& name) const;
+  NetId findNet(std::string_view name) const;
+  NodeId findNode(std::string_view name) const;
 
   /// True when @p net is driven by an instance or declared a primary input.
-  bool isDriven(const std::string& net) const;
+  bool isDriven(std::string_view net) const;
 
   // --- Structure ------------------------------------------------------------
 
@@ -159,10 +178,12 @@ class Netlist {
 
  private:
   /// Interns @p name, growing the per-net arrays.
-  NetId internNet(const std::string& name);
+  NetId internNet(std::string_view name);
 
-  // Per-net arrays, indexed by NetId.
+  // Per-net arrays, indexed by NetId.  netHash_ holds each name's 32-bit
+  // hash for the name index (netlist.cpp).
   std::vector<std::string> netNames_;
+  std::vector<std::uint32_t> netHash_;
   std::vector<NodeId> netDriver_;
   std::vector<char> netIsPi_;
   std::vector<std::uint32_t> netIndex_;  // name index over netNames_
@@ -170,6 +191,7 @@ class Netlist {
 
   // Per-node arrays, indexed by NodeId.
   std::vector<std::string> nodeNames_;
+  std::vector<std::uint32_t> nodeHash_;
   std::vector<const characterize::CharacterizedGate*> nodeCells_;
   std::vector<NetId> nodeOutput_;
   std::vector<std::uint32_t> nodeIndex_;  // name index over nodeNames_
