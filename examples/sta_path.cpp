@@ -88,7 +88,7 @@ void runBlifFlow(const std::string& path, const std::string& libKind,
   const auto proximity = analyze(DelayMode::Proximity);
   const auto classic = analyze(DelayMode::Classic);
 
-  const auto schedule = nl.levelize(structural);
+  const sta::LevelizeResult& schedule = nl.levelize(structural);
   std::printf("%zu levels deep", schedule.levelCount());
   if (proximity.degradedArcs() != 0) {
     std::printf(", %zu degraded arc(s)", proximity.degradedArcs());

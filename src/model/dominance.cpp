@@ -1,7 +1,6 @@
 #include "model/dominance.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 namespace prox::model {
 
@@ -21,18 +20,43 @@ DominanceSense dominanceSense(cells::GateType type, wave::Edge inputEdge) {
                            : DominanceSense::LatestFirst;
 }
 
+void dominanceOrder(std::span<const InputEvent> events,
+                    const SingleInputModelSet& singles, DominanceSense sense,
+                    std::vector<std::size_t>& order,
+                    std::vector<double>& crossing) {
+  const std::size_t n = events.size();
+  order.resize(n);
+  if (n < 2) {
+    // Nothing to rank; the caller looks up the lone input's model itself.
+    if (n == 1) order[0] = 0;
+    return;
+  }
+  crossing.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    crossing[i] = predictedCrossing(events[i], singles);
+  }
+  // Stable insertion sort: an index moves left only past strictly less
+  // dominant ones, so equal crossings keep event order -- the permutation
+  // std::stable_sort yields for the same strict weak order.
+  const bool earliest = sense == DominanceSense::EarliestFirst;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double c = crossing[i];
+    std::size_t j = i;
+    for (; j > 0; --j) {
+      const double prev = crossing[order[j - 1]];
+      if (!(earliest ? c < prev : c > prev)) break;
+      order[j] = order[j - 1];
+    }
+    order[j] = i;
+  }
+}
+
 std::vector<std::size_t> dominanceOrder(const std::vector<InputEvent>& events,
                                         const SingleInputModelSet& singles,
                                         DominanceSense sense) {
-  std::vector<std::size_t> order(events.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const double ca = predictedCrossing(events[a], singles);
-                     const double cb = predictedCrossing(events[b], singles);
-                     return sense == DominanceSense::EarliestFirst ? ca < cb
-                                                                   : ca > cb;
-                   });
+  std::vector<std::size_t> order;
+  std::vector<double> crossing;
+  dominanceOrder(events, singles, sense, order, crossing);
   return order;
 }
 

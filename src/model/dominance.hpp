@@ -20,6 +20,7 @@
 //     crossing.
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "cells/pull_network.hpp"
@@ -59,9 +60,19 @@ SenseResolver senseResolverFor(cells::GateType type);
 SenseResolver senseResolverFor(const cells::ComplexCellSpec& spec);
 
 /// Indices of @p events sorted by dominance (most dominant first) in the
-/// given sense.  Ties are broken by event order, matching the paper's
-/// observation that with identical inputs "our algorithm will identify one
-/// of the inputs as the dominant one and proceed".
+/// given sense, written into @p order.  Ties are broken by event order,
+/// matching the paper's observation that with identical inputs "our
+/// algorithm will identify one of the inputs as the dominant one and
+/// proceed".  Each event's predicted crossing is looked up once (into
+/// @p crossing) and the indices are stable-insertion-sorted by it, so a
+/// caller that reuses both vectors allocates nothing once they have grown
+/// to its largest event set.
+void dominanceOrder(std::span<const InputEvent> events,
+                    const SingleInputModelSet& singles, DominanceSense sense,
+                    std::vector<std::size_t>& order,
+                    std::vector<double>& crossing);
+
+/// The same order, returned in a fresh vector.
 std::vector<std::size_t> dominanceOrder(const std::vector<InputEvent>& events,
                                         const SingleInputModelSet& singles,
                                         DominanceSense sense);

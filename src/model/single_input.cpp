@@ -98,20 +98,27 @@ SingleInputModel SingleInputModel::characterize(
 
 void SingleInputModelSet::set(SingleInputModel m) {
   if (!m.valid()) throw std::invalid_argument("SingleInputModelSet: invalid model");
-  models_[key(m.pin(), m.edge())] = std::move(m);
+  if (m.pin() < 0) {
+    throw std::invalid_argument("SingleInputModelSet: negative pin " +
+                                std::to_string(m.pin()));
+  }
+  const auto k = static_cast<std::size_t>(key(m.pin(), m.edge()));
+  if (k >= slots_.size()) slots_.resize(k + 1);
+  slots_[k] = std::move(m);
 }
 
 bool SingleInputModelSet::has(int pin, wave::Edge edge) const {
-  return models_.count(key(pin, edge)) != 0;
+  const int k = key(pin, edge);
+  return pin >= 0 && static_cast<std::size_t>(k) < slots_.size() &&
+         slots_[static_cast<std::size_t>(k)].valid();
 }
 
 const SingleInputModel& SingleInputModelSet::at(int pin, wave::Edge edge) const {
-  auto it = models_.find(key(pin, edge));
-  if (it == models_.end()) {
+  if (!has(pin, edge)) {
     throw std::out_of_range("SingleInputModelSet: no model for pin " +
                             std::to_string(pin));
   }
-  return it->second;
+  return slots_[static_cast<std::size_t>(key(pin, edge))];
 }
 
 SingleInputModelSet SingleInputModelSet::characterizeAll(

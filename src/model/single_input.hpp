@@ -5,7 +5,6 @@
 // tau grid at the cell's load and store both the raw (tau -> value) table and
 // the normalized coordinate so the model transfers across loads.
 
-#include <map>
 #include <vector>
 
 #include "model/gate_sim.hpp"
@@ -65,11 +64,16 @@ class SingleInputModel {
   double vdd_ = 0.0;
 };
 
-/// The per-gate collection of single-input macromodels: one per (pin, edge).
+/// The per-gate collection of single-input macromodels: one per (pin, edge),
+/// kept in a flat slot array indexed by (pin, edge) so a lookup is one
+/// bounds check and one load (the dominance order does one per input).
 class SingleInputModelSet {
  public:
+  /// Stores @p m in its (pin, edge) slot, replacing any model there.  Throws
+  /// std::invalid_argument for an uncharacterized model or a negative pin.
   void set(SingleInputModel m);
   bool has(int pin, wave::Edge edge) const;
+  /// Throws std::out_of_range when no model is stored for (pin, edge).
   const SingleInputModel& at(int pin, wave::Edge edge) const;
 
   /// Characterizes models for every pin of the gate in both directions.
@@ -80,7 +84,9 @@ class SingleInputModelSet {
   static int key(int pin, wave::Edge edge) {
     return pin * 2 + (edge == wave::Edge::Rising ? 0 : 1);
   }
-  std::map<int, SingleInputModel> models_;
+  /// slots_[key(pin, edge)]; an invalid (empty-table) model marks a free
+  /// slot.
+  std::vector<SingleInputModel> slots_;
 };
 
 }  // namespace prox::model

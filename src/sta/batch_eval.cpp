@@ -14,9 +14,10 @@ namespace prox::sta {
 
 namespace {
 
-/// Per-arc composition state: the local variables of Algorithm
-/// ProximityDelay (ProximityCalculator::compute), lifted into a struct so a
-/// whole chunk of arcs can advance in lockstep rounds.
+/// Per-arc state: the local variables of Algorithm ProximityDelay
+/// (ProximityCalculator::compute), lifted into a struct so a whole chunk of
+/// arcs can advance in lockstep rounds.  Classic mode uses only the setup
+/// and dominance fields (computeClassic stops at y1's Delta^(1)/tau^(1)).
 struct ArcState {
   // -- setup --
   std::vector<model::InputEvent> events;
@@ -30,6 +31,7 @@ struct ArcState {
   // -- dominance --
   model::DominanceSense sense = model::DominanceSense::EarliestFirst;
   std::vector<std::size_t> order;
+  std::vector<double> crossing;  ///< dominanceOrder's scratch
   bool reordered = false;
 
   // -- composition registers (names as in compute()) --
@@ -126,95 +128,106 @@ model::DominanceSense resolveSense(const characterize::CharacterizedGate& cell,
   return model::dominanceSense(cell.gate.spec.type, events.front().edge);
 }
 
-}  // namespace
-
-void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
-                       const DelayCalcOptions& opt,
-                       std::span<BatchArcResult> results) {
-  if (results.size() < arcs.size()) {
-    throw std::invalid_argument("evaluateGateBatch: results span too small");
-  }
-  const std::size_t n = arcs.size();
-  if (n == 0) return;
-
-  if (mode != DelayMode::Proximity) {
-    for (std::size_t i = 0; i < n; ++i) {
-      results[i].arrival = evaluateGate(*arcs[i].cell, *arcs[i].pins, mode, opt,
-                                        &results[i].quality);
-    }
+/// Arc setup shared by both modes: the switching events, the anomaly
+/// screen, the dominance order and the dominant input's Delta^(1)/tau^(1).
+/// An arc the batch cannot finish is marked for the scalar fallback; idle
+/// arcs are counted here exactly as evaluateGate() counts them.
+void setUpArc(const BatchArc& arc, DelayMode mode, ArcState& a) {
+  const characterize::CharacterizedGate& cell = *arc.cell;
+  const std::vector<std::optional<Arrival>>& pins = *arc.pins;
+  if (static_cast<int>(pins.size()) != cell.pinCount()) {
+    a.fallback = true;  // scalar throws invalid_argument (caller bug)
     return;
   }
+  for (std::size_t p = 0; p < pins.size(); ++p) {
+    if (!pins[p]) continue;
+    a.events.push_back(
+        {static_cast<int>(p), pins[p]->edge, pins[p]->time, pins[p]->slope});
+  }
+  if (a.events.empty()) {
+    a.idle = true;
+    PROX_OBS_COUNT("sta.delay_calc.idle_gates", 1);
+    return;
+  }
+  for (const auto& ev : a.events) {
+    if (ev.edge != a.events.front().edge) {
+      a.fallback = true;  // scalar throws invalid_argument (caller bug)
+      return;
+    }
+  }
+  a.dual = cell.dual.get();
+  a.singles = cell.singles.get();
+  try {
+    // computeClassic() always ranks by dominance, and so does compute()
+    // under the default ProximityOptions both paths run.
+    static_assert(model::ProximityOptions{}.orderByDominance);
+    a.sense = resolveSense(cell, a.events);
+    model::dominanceOrder(a.events, *a.singles, a.sense, a.order, a.crossing);
+#if PROX_ENABLE_STATS
+    if (mode == DelayMode::Proximity) {
+      a.reordered = !std::is_sorted(
+          a.order.begin(), a.order.end(), [&](std::size_t x, std::size_t y) {
+            return a.sense == model::DominanceSense::EarliestFirst
+                       ? a.events[x].tRef < a.events[y].tRef
+                       : a.events[x].tRef > a.events[y].tRef;
+          });
+    }
+#else
+    (void)mode;
+#endif
+    a.y1 = a.events[a.order[0]];
+    const model::SingleInputModel& m1 = a.singles->at(a.y1.pin, a.y1.edge);
+    a.d1 = m1.delay(a.y1.tau);
+    a.t1 = m1.transition(a.y1.tau);
+  } catch (...) {
+    a.fallback = true;  // scalar degrades (or rethrows) identically
+    return;
+  }
+  a.dCum = a.d1;
+  a.tCum = a.t1;
+  a.dBeforeLast = a.d1;
+  a.sLast = 0.0;
+  a.processedPins.push_back(a.y1.pin);
+}
 
+/// Classic mode ends at setup: computeClassic()'s result is the dominant
+/// input's crossing plus Delta^(1), with tau^(1) as the (unclamped) slope.
+void finishClassic(std::span<const BatchArc> arcs,
+                   const std::vector<ArcState>& states,
+                   std::span<BatchArcResult> results) {
+  std::uint64_t arcEvals = 0, switchingPins = 0;
+  for (std::size_t i = 0; i < arcs.size(); ++i) {
+    const ArcState& a = states[i];
+    if (a.fallback) continue;
+    results[i].quality = ArcQuality::Full;
+    if (a.idle) {
+      results[i].arrival = std::nullopt;
+      continue;
+    }
+    Arrival out;
+    out.edge = arcs[i].cell->gate.spec.outputEdgeFor(a.events.front().edge);
+    out.time = a.y1.tRef + a.d1;  // res.outputRefTime
+    out.slope = a.t1;             // res.transitionTime
+    results[i].arrival = out;
+    arcEvals += 1;
+    switchingPins += a.events.size();
+  }
+  PROX_OBS_BATCH(obsCells);
+  PROX_OBS_COUNT_IN(obsCells, "sta.delay_calc.arc_evals", arcEvals);
+  PROX_OBS_COUNT_IN(obsCells, "sta.delay_calc.switching_pins", switchingPins);
+  PROX_OBS_COUNT_IN(obsCells, "model.proximity.classic_computes", arcEvals);
+}
+
+/// Proximity mode: Algorithm ProximityDelay for every set-up arc, run in
+/// lockstep rounds, then the corrective term and the trust check.
+void composeProximity(std::span<const BatchArc> arcs,
+                      const DelayCalcOptions& opt, EvalScratch& scratch,
+                      std::span<BatchArcResult> results) {
+  const std::size_t n = arcs.size();
   // The batched mirror always runs the default ProximityOptions -- exactly
   // what the scalar path's cell.calculator() constructs.
   const model::ProximityOptions options{};
-
-  EvalScratch& scratch = evalScratch();
-  std::vector<ArcState>& states = scratch.arcs(n);
-
-  // --- setup: events, dominance order, dominant-input registers -----------
-  for (std::size_t i = 0; i < n; ++i) {
-    ArcState& a = states[i];
-    const characterize::CharacterizedGate& cell = *arcs[i].cell;
-    const std::vector<std::optional<Arrival>>& pins = *arcs[i].pins;
-    if (static_cast<int>(pins.size()) != cell.pinCount()) {
-      a.fallback = true;  // scalar throws invalid_argument (caller bug)
-      continue;
-    }
-    for (std::size_t p = 0; p < pins.size(); ++p) {
-      if (!pins[p]) continue;
-      a.events.push_back({static_cast<int>(p), pins[p]->edge, pins[p]->time,
-                          pins[p]->slope});
-    }
-    if (a.events.empty()) {
-      a.idle = true;
-      PROX_OBS_COUNT("sta.delay_calc.idle_gates", 1);
-      continue;
-    }
-    bool mixed = false;
-    for (const auto& ev : a.events) {
-      if (ev.edge != a.events.front().edge) mixed = true;
-    }
-    if (mixed) {
-      a.fallback = true;  // scalar throws invalid_argument (caller bug)
-      continue;
-    }
-    a.dual = cell.dual.get();
-    a.singles = cell.singles.get();
-    try {
-      a.sense = resolveSense(cell, a.events);
-      if (options.orderByDominance) {
-        a.order = model::dominanceOrder(a.events, *a.singles, a.sense);
-#if PROX_ENABLE_STATS
-        a.reordered = !std::is_sorted(
-            a.order.begin(), a.order.end(), [&](std::size_t x, std::size_t y) {
-              return a.sense == model::DominanceSense::EarliestFirst
-                         ? a.events[x].tRef < a.events[y].tRef
-                         : a.events[x].tRef > a.events[y].tRef;
-            });
-#endif
-      } else {
-        a.order.resize(a.events.size());
-        for (std::size_t k = 0; k < a.order.size(); ++k) a.order[k] = k;
-        std::stable_sort(a.order.begin(), a.order.end(),
-                         [&](std::size_t x, std::size_t y) {
-                           return a.events[x].tRef < a.events[y].tRef;
-                         });
-      }
-      a.y1 = a.events[a.order[0]];
-      const model::SingleInputModel& m1 = a.singles->at(a.y1.pin, a.y1.edge);
-      a.d1 = m1.delay(a.y1.tau);
-      a.t1 = m1.transition(a.y1.tau);
-    } catch (...) {
-      a.fallback = true;  // scalar degrades (or rethrows) identically
-      continue;
-    }
-    a.dCum = a.d1;
-    a.tCum = a.t1;
-    a.dBeforeLast = a.d1;
-    a.sLast = 0.0;
-    a.processedPins.push_back(a.y1.pin);
-  }
+  std::vector<ArcState>& states = scratch.states;
 
   // --- lockstep composition rounds ----------------------------------------
   // Per round each unfinished arc advances to its next step needing table
@@ -428,6 +441,28 @@ void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
                     inputsProcessed);
   PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_transition_only",
                     inputsTransitionOnly);
+}
+
+}  // namespace
+
+void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
+                       const DelayCalcOptions& opt,
+                       std::span<BatchArcResult> results) {
+  if (results.size() < arcs.size()) {
+    throw std::invalid_argument("evaluateGateBatch: results span too small");
+  }
+  const std::size_t n = arcs.size();
+  if (n == 0) return;
+
+  EvalScratch& scratch = evalScratch();
+  std::vector<ArcState>& states = scratch.arcs(n);
+  for (std::size_t i = 0; i < n; ++i) setUpArc(arcs[i], mode, states[i]);
+
+  if (mode == DelayMode::Classic) {
+    finishClassic(arcs, states, results);
+  } else {
+    composeProximity(arcs, opt, scratch, results);
+  }
 
   // --- scalar fallback for anomalous arcs, in arc order --------------------
   // Exceptions (caller bugs, allowDegraded=false rethrows) escape from the
@@ -438,5 +473,6 @@ void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
                                       &results[i].quality);
   }
 }
+
 
 }  // namespace prox::sta

@@ -1,24 +1,34 @@
 #pragma once
 // Batched per-gate delay calculation: the lockstep mirror of
-// evaluateGate() used by the levelized STA.
+// evaluateGate() used by the levelized STA, in both delay modes.
 //
-// evaluateGate() costs every arc a ProximityCalculator construction (a
-// std::function allocation) plus one virtual dual-table lookup per folded
-// input.  This evaluator instead runs a whole chunk of same-level arcs in
-// lockstep rounds: each round collects, across all arcs, the dual-input
-// queries their compositions need next, groups them by dual-table model and
-// answers them with one TabulatedDualInputModel::evaluateMany() call per
-// model -- grid location amortized, trilinear blends vectorized.
+// evaluateGate() costs every arc a ProximityCalculator construction (the
+// StepCorrection vectors and a std::function copied) plus one virtual
+// dual-table lookup per folded input.  This evaluator instead keeps all
+// per-arc state in reused per-thread scratch and shares one setup between
+// the modes: the switching events, the anomaly screen, the dominance order
+// (one single-input lookup per input, sorted into the arc's own storage) and
+// the dominant input's Delta^(1)/tau^(1).
+//   * Classic mode finishes there, as computeClassic() does: the output
+//     crosses at y1.tRef + Delta^(1) with slope tau^(1).
+//   * Proximity mode runs a whole chunk of same-level arcs in lockstep
+//     rounds: each round collects, across all arcs, the dual-input queries
+//     their compositions need next, groups them by dual-table model and
+//     answers them with one TabulatedDualInputModel::evaluateMany() call per
+//     model -- grid location amortized, trilinear blends vectorized.
+// After warm-up (scratch grown to the largest chunk) a batch of simple-gate
+// arcs makes no heap allocation in either mode.
 //
 // Bit-identity contract: for every arc the produced Arrival and ArcQuality
-// equal evaluateGate()'s exactly.  The composition replays Algorithm
-// ProximityDelay statement for statement (same query values, same update
-// order, same correction arithmetic), and evaluateMany() is bit-identical to
-// the scalar lookups.  Any anomaly -- pin-count mismatch, mixed directions,
-// missing models, out-of-trust clamps, any exception -- re-runs that arc
-// through scalar evaluateGate(), which reproduces the scalar path's
-// diagnostics, degradation ladder and counters; propagation-class errors
-// (caller bugs, allowDegraded=false) throw out of it naturally.
+// equal evaluateGate()'s exactly, and so do the counters.  The composition
+// replays Algorithm ProximityDelay statement for statement (same query
+// values, same update order, same correction arithmetic), and evaluateMany()
+// is bit-identical to the scalar lookups.  Any anomaly -- pin-count
+// mismatch, mixed directions, missing models, out-of-trust clamps, any
+// exception -- re-runs that arc through scalar evaluateGate(), which stays
+// the reference: it reproduces the scalar path's diagnostics, degradation
+// ladder and counters, and propagation-class errors (caller bugs,
+// allowDegraded=false) throw out of it naturally.
 
 #include <span>
 
@@ -39,10 +49,8 @@ struct BatchArcResult {
 };
 
 /// Evaluates arcs[i] into results[i] (spans must be the same length).
-/// Classic mode simply loops scalar evaluateGate(); Proximity mode runs the
-/// lockstep batched composition described above.  Throws exactly when a
-/// scalar evaluateGate() loop over the same arcs would (lowest arc index
-/// first).
+/// Throws exactly when a scalar evaluateGate() loop over the same arcs would
+/// (lowest arc index first).
 void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
                        const DelayCalcOptions& opt,
                        std::span<BatchArcResult> results);

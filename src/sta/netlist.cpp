@@ -150,6 +150,7 @@ NetId Netlist::internNet(std::string_view name) {
 }
 
 NetId Netlist::addPrimaryInput(std::string_view net) {
+  schedule_.result.reset();
   // A driven net already exists, so interning it first writes nothing
   // before the throw.
   const NetId id = internNet(net);
@@ -212,6 +213,7 @@ NodeId Netlist::tryAddInstanceLenient(
   }
   support::budgetChargeNodes(1, kSite);
 
+  schedule_.result.reset();
   const NodeId node(nodeCount());
   nodeNames_.emplace_back(name);
   nodeHash_.push_back(hash);
@@ -249,7 +251,19 @@ bool Netlist::isDriven(std::string_view net) const {
   return netIsPi_[id.value] != 0 || netDriver_[id.value].valid();
 }
 
-LevelizeResult Netlist::levelize(StructuralPolicy policy) const {
+const LevelizeResult& Netlist::levelize(StructuralPolicy policy) const {
+  const std::lock_guard<std::mutex> lock(schedule_.mutex);
+  // A cached schedule with issues came from Degrade; Reject recomputes it,
+  // which throws on the first defect and leaves the cache as it was.
+  if (schedule_.result == nullptr ||
+      (policy == StructuralPolicy::Reject && !schedule_.result->issues.empty())) {
+    schedule_.result =
+        std::make_unique<const LevelizeResult>(computeLevels(policy));
+  }
+  return *schedule_.result;
+}
+
+LevelizeResult Netlist::computeLevels(StructuralPolicy policy) const {
   PROX_OBS_SCOPED_TIMER("sta.levelize.seconds");
   PROX_OBS_SPAN("sta.levelize");
   LevelizeResult out;

@@ -17,6 +17,8 @@
 // no-event nets -- so levelization can never infinite-loop or mis-level
 // (StructuralPolicy::Degrade).
 
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -169,7 +171,14 @@ class Netlist {
   /// nothing deeper; nodes within a level are independent of each other (the
   /// parallel STA evaluates a level concurrently) and appear in declaration
   /// order, so the schedule is deterministic.
-  LevelizeResult levelize(StructuralPolicy policy) const;
+  ///
+  /// The schedule is computed once and reused until the netlist is mutated
+  /// (addPrimaryInput / addInstance*): the returned reference stays valid
+  /// until then, also across a move of the netlist.  A schedule without
+  /// issues serves both policies; Reject on a defective netlist recomputes,
+  /// and so throws, on every call.  Safe to call from several threads at
+  /// once.
+  const LevelizeResult& levelize(StructuralPolicy policy) const;
 
   /// Nodes in topological order (inputs before consumers).  Throws
   /// support::DiagnosticError (StructuralError, a std::runtime_error) when
@@ -204,6 +213,26 @@ class Netlist {
 
   /// (net, losing node) pairs recorded by addInstanceLenient.
   std::vector<std::pair<NetId, NodeId>> extraDrivers_;
+
+  /// levelize()'s memo.  The schedule lives on the heap, so moving a
+  /// netlist moves the pointer and references into it stay valid; each
+  /// netlist keeps its own mutex.
+  struct ScheduleCache {
+    std::mutex mutex;
+    std::unique_ptr<const LevelizeResult> result;
+
+    ScheduleCache() = default;
+    ScheduleCache(ScheduleCache&& other) noexcept
+        : result(std::move(other.result)) {}
+    ScheduleCache& operator=(ScheduleCache&& other) noexcept {
+      result = std::move(other.result);
+      return *this;
+    }
+  };
+  mutable ScheduleCache schedule_;
+
+  /// The levelization itself (levelize() without the memo).
+  LevelizeResult computeLevels(StructuralPolicy policy) const;
 };
 
 }  // namespace prox::sta

@@ -23,7 +23,9 @@ class TimingAnalyzer {
       : netlist_(netlist), mode_(mode), options_(options) {}
 
   /// Sets the arrival event of a primary input net.  Throws
-  /// std::invalid_argument when @p net is not a declared primary input.
+  /// std::invalid_argument when @p net is not a declared primary input, or
+  /// when the arrival time is NaN or infinite, or the slope is NaN,
+  /// infinite or negative (the message names the net).
   void setInputArrival(const std::string& net, Arrival arrival);
   void setInputArrival(NetId net, Arrival arrival);
 

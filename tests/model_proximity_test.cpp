@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <random>
 
+#include "dominance_reference.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -73,6 +77,121 @@ TEST(Dominance, CrossoverMatchesDelayDifference) {
   const auto order =
       model::dominanceOrder({a, b}, *cg.singles);
   EXPECT_EQ(order[0], 0u);
+}
+
+// --- dominanceOrder vs the stable_sort reference ----------------------------
+
+/// Twelve pins of single-input models on a four-point tau grid.  Pins come
+/// in pairs with identical tables, so equal (tRef, tau) events on the two
+/// pins of a pair cross at exactly the same predicted time.
+const model::SingleInputModelSet& twelvePinSingles() {
+  static const model::SingleInputModelSet set = [] {
+    std::mt19937_64 rng(12);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    model::SingleInputModelSet s;
+    for (int pin = 0; pin < 12; pin += 2) {
+      for (const Edge e : {Edge::Rising, Edge::Falling}) {
+        std::vector<model::SingleInputModel::Sample> table;
+        double delay = 20e-12 + 60e-12 * unit(rng);
+        for (const double tau : {20e-12, 100e-12, 400e-12, 1.6e-9}) {
+          delay += tau * unit(rng);
+          table.push_back({tau, delay, 2.0 * delay});
+        }
+        s.set(model::SingleInputModel(pin, e, table, 1e-13, 1e-4, 5.0));
+        s.set(model::SingleInputModel(pin + 1, e, table, 1e-13, 1e-4, 5.0));
+      }
+    }
+    return s;
+  }();
+  return set;
+}
+
+/// Checks dominanceOrder (both forms, the in-place one on reused storage)
+/// against the reference in both senses.
+void expectOrderMatchesReference(const std::vector<InputEvent>& evs,
+                                 std::vector<std::size_t>& order,
+                                 std::vector<double>& crossing) {
+  const auto& singles = twelvePinSingles();
+  for (const auto sense : {model::DominanceSense::EarliestFirst,
+                           model::DominanceSense::LatestFirst}) {
+    const auto want = testutil::referenceDominanceOrder(evs, singles, sense);
+    EXPECT_EQ(model::dominanceOrder(evs, singles, sense), want);
+    model::dominanceOrder(evs, singles, sense, order, crossing);
+    EXPECT_EQ(order, want);
+  }
+}
+
+TEST(DominanceOrder, MatchesStableSortReferenceOnSeededEventSets) {
+  const auto& singles = twelvePinSingles();
+  // Few distinct times and slopes, so equal tRef with different tau and
+  // exact crossing ties (paired pins) come up often.
+  const double kTRef[] = {0.0, 25e-12, 50e-12, 75e-12};
+  const double kTau[] = {20e-12, 60e-12, 100e-12, 400e-12, 2e-9};
+  std::vector<std::size_t> order;
+  std::vector<double> crossing;
+  int tiedSets = 0;
+  for (std::uint64_t seed = 0; seed < 600; ++seed) {
+    std::mt19937_64 rng(seed);
+    const std::size_t n = 1 + seed % 12;
+    std::vector<int> pins(12);
+    std::iota(pins.begin(), pins.end(), 0);
+    std::shuffle(pins.begin(), pins.end(), rng);
+    const Edge edge = seed % 2 == 0 ? Edge::Rising : Edge::Falling;
+    std::vector<InputEvent> evs;
+    for (std::size_t i = 0; i < n; ++i) {
+      evs.push_back({pins[i], edge, kTRef[rng() % std::size(kTRef)],
+                     kTau[rng() % std::size(kTau)]});
+    }
+    std::vector<double> c;
+    for (const InputEvent& ev : evs) {
+      c.push_back(model::predictedCrossing(ev, singles));
+    }
+    std::sort(c.begin(), c.end());
+    if (std::adjacent_find(c.begin(), c.end()) != c.end()) ++tiedSets;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expectOrderMatchesReference(evs, order, crossing);
+  }
+  EXPECT_GT(tiedSets, 50);  // the sweep really exercises exact ties
+}
+
+TEST(DominanceOrder, ExactCrossingTiesKeepEventOrder) {
+  std::vector<std::size_t> order;
+  std::vector<double> crossing;
+  // Pins 4/5 and 8/9 share tables: two exact ties, interleaved.
+  const std::vector<InputEvent> evs{{5, Edge::Falling, 10e-12, 100e-12},
+                                    {8, Edge::Falling, 0.0, 60e-12},
+                                    {4, Edge::Falling, 10e-12, 100e-12},
+                                    {9, Edge::Falling, 0.0, 60e-12}};
+  expectOrderMatchesReference(evs, order, crossing);
+  const auto& singles = twelvePinSingles();
+  ASSERT_EQ(model::predictedCrossing(evs[0], singles),
+            model::predictedCrossing(evs[2], singles));
+  for (const auto sense : {model::DominanceSense::EarliestFirst,
+                           model::DominanceSense::LatestFirst}) {
+    const auto got = model::dominanceOrder(evs, singles, sense);
+    // Tied events stay in event order whichever end dominates.
+    EXPECT_LT(std::find(got.begin(), got.end(), 0u) - got.begin(),
+              std::find(got.begin(), got.end(), 2u) - got.begin());
+    EXPECT_LT(std::find(got.begin(), got.end(), 1u) - got.begin(),
+              std::find(got.begin(), got.end(), 3u) - got.begin());
+  }
+}
+
+TEST(DominanceOrder, EqualTRefRanksBySlope) {
+  std::vector<std::size_t> order;
+  std::vector<double> crossing;
+  std::vector<InputEvent> evs;
+  for (int pin = 0; pin < 12; ++pin) {
+    evs.push_back({pin, Edge::Rising, 40e-12, (12 - pin) * 90e-12});
+  }
+  expectOrderMatchesReference(evs, order, crossing);
+  // Shrinking the set reuses the grown storage.
+  evs.resize(3);
+  expectOrderMatchesReference(evs, order, crossing);
+  evs.resize(1);
+  expectOrderMatchesReference(evs, order, crossing);
+  evs.clear();
+  expectOrderMatchesReference(evs, order, crossing);
 }
 
 TEST(Proximity, SingleEventReducesToSingleInputModel) {

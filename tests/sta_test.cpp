@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sta/blif.hpp"
 #include "sta/timing_graph.hpp"
 #include "test_util.hpp"
@@ -262,6 +264,67 @@ TEST(Analyzer, RejectsArrivalOnNonPrimaryInput) {
   sta::TimingAnalyzer ta(nl, DelayMode::Classic);
   EXPECT_THROW(ta.setInputArrival("y", {0.0, 1e-10, Edge::Rising}),
                std::invalid_argument);
+}
+
+/// The invalid_argument message setInputArrival throws for @p arrival on
+/// primary input "a" (by name and by id, which must agree); empty when it
+/// accepts the arrival.
+std::string arrivalRejection(Arrival arrival) {
+  static const sta::GateLibrary lib = sta::analyticLibrary();
+  sta::Netlist nl;
+  const sta::NetId a = nl.addPrimaryInput("a");
+  nl.addInstance("u1", lib.require(cells::GateType::Inverter, 1), {"a"}, "y");
+  sta::TimingAnalyzer ta(nl, DelayMode::Proximity);
+  std::string byName, byId;
+  try {
+    ta.setInputArrival("a", arrival);
+  } catch (const std::invalid_argument& e) {
+    byName = e.what();
+  }
+  try {
+    ta.setInputArrival(a, arrival);
+  } catch (const std::invalid_argument& e) {
+    byId = e.what();
+  }
+  EXPECT_EQ(byName, byId);
+  return byName;
+}
+
+struct BadArrival {
+  const char* name;
+  Arrival arrival;
+  const char* field;  ///< what the message must name
+};
+
+class AnalyzerBadArrival : public ::testing::TestWithParam<BadArrival> {};
+
+TEST_P(AnalyzerBadArrival, IsRejectedNamingTheNet) {
+  const std::string msg = arrivalRejection(GetParam().arrival);
+  EXPECT_NE(msg.find(GetParam().field), std::string::npos) << msg;
+  EXPECT_NE(msg.find(" on a"), std::string::npos) << msg;
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+INSTANTIATE_TEST_SUITE_P(
+    Analyzer, AnalyzerBadArrival,
+    ::testing::Values(
+        BadArrival{"NaNTime", {kNaN, 100e-12, Edge::Rising}, "arrival time"},
+        BadArrival{"PosInfTime", {kInf, 100e-12, Edge::Rising}, "arrival time"},
+        BadArrival{"NegInfTime", {-kInf, 100e-12, Edge::Falling},
+                   "arrival time"},
+        BadArrival{"NaNSlope", {0.0, kNaN, Edge::Rising}, "slope"},
+        BadArrival{"PosInfSlope", {0.0, kInf, Edge::Rising}, "slope"},
+        BadArrival{"NegInfSlope", {0.0, -kInf, Edge::Falling}, "slope"},
+        BadArrival{"NegativeSlope", {0.0, -1e-12, Edge::Falling}, "slope"}),
+    [](const ::testing::TestParamInfo<BadArrival>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(Analyzer, AcceptsFiniteTimesAndNonNegativeSlopes) {
+  EXPECT_EQ(arrivalRejection({-1e-9, 0.0, Edge::Rising}), "");
+  EXPECT_EQ(arrivalRejection({1e-9, 3e-9, Edge::Falling}), "");
 }
 
 TEST(Analyzer, MixedCellTypesPropagate) {
