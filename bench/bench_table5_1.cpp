@@ -44,8 +44,8 @@ int main() {
   model::OracleDualInputModel oracle(sim, *cg.singles);
   const auto oracleCorr =
       characterize::characterizeStepCorrection(sim, *cg.singles, oracle, 50e-12);
-  const model::ProximityCalculator calcOracle(cg.gate.spec.type, *cg.singles,
-                                              oracle, oracleCorr);
+  const model::ProximityCalculator calcOracle(cg.gate, *cg.singles, oracle,
+                                              oracleCorr);
   const model::ProximityCalculator calcTable = cg.calculator();
 
   std::mt19937 rng(1996);  // the year, for luck

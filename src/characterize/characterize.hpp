@@ -98,16 +98,11 @@ class CharacterizedGate {
   /// promote a non-empty log to a hard error.
   support::DiagnosticLog diagnostics;
 
-  /// Convenience: a ProximityCalculator over this package's tables.  Complex
-  /// gates get the structural dominance-sense resolver automatically.
+  /// Convenience: a ProximityCalculator over this package's tables.
   model::ProximityCalculator calculator(
       model::ProximityOptions options = {}) const {
-    if (gate.complex) {
-      return model::ProximityCalculator(model::senseResolverFor(*gate.complex),
-                                        *singles, *dual, correction, options);
-    }
-    return model::ProximityCalculator(gate.spec.type, *singles, *dual,
-                                      correction, options);
+    return model::ProximityCalculator(gate, *singles, *dual, correction,
+                                      options);
   }
 
   int pinCount() const { return gate.pinCount(); }

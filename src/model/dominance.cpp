@@ -51,20 +51,6 @@ void dominanceOrder(std::span<const InputEvent> events,
   }
 }
 
-std::vector<std::size_t> dominanceOrder(const std::vector<InputEvent>& events,
-                                        const SingleInputModelSet& singles,
-                                        DominanceSense sense) {
-  std::vector<std::size_t> order;
-  std::vector<double> crossing;
-  dominanceOrder(events, singles, sense, order, crossing);
-  return order;
-}
-
-std::vector<std::size_t> dominanceOrder(const std::vector<InputEvent>& events,
-                                        const SingleInputModelSet& singles) {
-  return dominanceOrder(events, singles, DominanceSense::EarliestFirst);
-}
-
 DominanceSense complexDominanceSense(const cells::ComplexCellSpec& spec,
                                      const std::vector<int>& switchingPins,
                                      wave::Edge inputEdge) {
@@ -89,18 +75,15 @@ DominanceSense complexDominanceSense(const cells::ComplexCellSpec& spec,
   return DominanceSense::LatestFirst;
 }
 
-SenseResolver senseResolverFor(cells::GateType type) {
-  return [type](const std::vector<InputEvent>& events) {
-    return dominanceSense(type, events.front().edge);
-  };
-}
-
-SenseResolver senseResolverFor(const cells::ComplexCellSpec& spec) {
-  return [spec](const std::vector<InputEvent>& events) {
-    std::vector<int> pins;
-    for (const InputEvent& ev : events) pins.push_back(ev.pin);
-    return complexDominanceSense(spec, pins, events.front().edge);
-  };
+DominanceSense dominanceSense(
+    cells::GateType type, const std::optional<cells::ComplexCellSpec>& complex,
+    std::span<const InputEvent> events) {
+  const wave::Edge edge = events.front().edge;
+  if (!complex) return dominanceSense(type, edge);
+  std::vector<int> pins;
+  pins.reserve(events.size());
+  for (const InputEvent& ev : events) pins.push_back(ev.pin);
+  return complexDominanceSense(*complex, pins, edge);
 }
 
 double dominanceCrossover(const InputEvent& a, const InputEvent& b,

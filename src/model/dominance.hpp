@@ -19,7 +19,7 @@
 //     the LAST input, so the dominant input has the latest predicted
 //     crossing.
 
-#include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -49,15 +49,12 @@ DominanceSense complexDominanceSense(const cells::ComplexCellSpec& spec,
                                      const std::vector<int>& switchingPins,
                                      wave::Edge inputEdge);
 
-/// Strategy that maps an event set to the dominance sense to use.
-using SenseResolver =
-    std::function<DominanceSense(const std::vector<InputEvent>&)>;
-
-/// Resolver for a simple gate type.
-SenseResolver senseResolverFor(cells::GateType type);
-
-/// Resolver for a complex gate (copies @p spec).
-SenseResolver senseResolverFor(const cells::ComplexCellSpec& spec);
+/// Sense for a gate's switching @p events (one direction, at least one
+/// event): the structural sense of @p complex for a complex gate, else the
+/// sense of @p type for the events' direction.
+DominanceSense dominanceSense(
+    cells::GateType type, const std::optional<cells::ComplexCellSpec>& complex,
+    std::span<const InputEvent> events);
 
 /// Indices of @p events sorted by dominance (most dominant first) in the
 /// given sense, written into @p order.  Ties are broken by event order,
@@ -71,15 +68,6 @@ void dominanceOrder(std::span<const InputEvent> events,
                     const SingleInputModelSet& singles, DominanceSense sense,
                     std::vector<std::size_t>& order,
                     std::vector<double>& crossing);
-
-/// The same order, returned in a fresh vector.
-std::vector<std::size_t> dominanceOrder(const std::vector<InputEvent>& events,
-                                        const SingleInputModelSet& singles,
-                                        DominanceSense sense);
-
-/// Convenience overload: EarliestFirst (the paper's Figure 3-2 derivation).
-std::vector<std::size_t> dominanceOrder(const std::vector<InputEvent>& events,
-                                        const SingleInputModelSet& singles);
 
 /// Dominance crossover separation between two inputs (Figure 3-3): for
 /// separations s_ab beyond Delta_a^(1) - Delta_b^(1), input a stops being

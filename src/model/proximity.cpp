@@ -33,27 +33,10 @@ double StepCorrection::transitionFor(std::size_t inputCount,
                           inputCount);
 }
 
-ProximityCalculator::ProximityCalculator(cells::GateType gateType,
-                                         const SingleInputModelSet& singles,
-                                         const DualInputModel& dual,
-                                         StepCorrection correction,
-                                         ProximityOptions options)
-    : ProximityCalculator(senseResolverFor(gateType), singles, dual,
-                          std::move(correction), options) {}
-
-ProximityCalculator::ProximityCalculator(SenseResolver sense,
-                                         const SingleInputModelSet& singles,
-                                         const DualInputModel& dual,
-                                         StepCorrection correction,
-                                         ProximityOptions options)
-    : sense_(std::move(sense)),
-      singles_(singles),
-      dual_(dual),
-      correction_(std::move(correction)),
-      options_(options) {}
-
-ProximityResult ProximityCalculator::compute(
-    const std::vector<InputEvent>& events) const {
+void ProximityComposition::start(std::span<const InputEvent> events,
+                                 const Gate& gate,
+                                 const SingleInputModelSet& singles,
+                                 const ProximityOptions& options) {
   if (events.empty()) {
     throw std::invalid_argument("ProximityCalculator: no events");
   }
@@ -63,174 +46,138 @@ ProximityResult ProximityCalculator::compute(
           "ProximityCalculator: mixed transition directions (use GlitchModel)");
     }
   }
+  events_ = events;
+  options_ = options;
+  sense_ = dominanceSense(gate.spec.type, gate.complex, events);
+  if (options.orderByDominance) {
+    dominanceOrder(events, singles, sense_, order_, crossing_);
+  } else {
+    order_.resize(events.size());
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    std::stable_sort(order_.begin(), order_.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return events[a].tRef < events[b].tRef;
+                     });
+  }
+  y1_ = events[order_[0]];
+  const SingleInputModel& m1 = singles.at(y1_.pin, y1_.edge);
+  d1_ = m1.delay(y1_.tau);
+  t1_ = m1.transition(y1_.tau);
+  dCum_ = d1_;
+  tCum_ = t1_;
+  dBeforeLast_ = d1_;
+  sLast_ = 0.0;
+  idx_ = 1;
+  windowExits_ = windowSkipped_ = 0;
 
-  // This is the library's hottest entry point (sub-microsecond per call), so
-  // all instrument sites share one batched cell fetch.
+  // The classic single-input result, which finish() turns into the
+  // proximity result.
+  res_.delay = d1_;
+  res_.transitionTime = t1_;
+  res_.dominantPin = y1_.pin;
+  res_.outputRefTime = y1_.tRef + d1_;
+  res_.processedPins.assign(1, y1_.pin);
+  res_.transitionOnlyPins.clear();
+  res_.correctionApplied = 0.0;
+}
+
+void ProximityComposition::finish(const StepCorrection& correction) {
+  // Corrective term (Section 4): bounded by the simultaneous-step error,
+  // fading linearly to zero at s_{y1,ym} = Delta^{(m-1)}.
+  const std::size_t processed = res_.processedPins.size();
+  if (options_.applyCorrection && processed >= 2 && !correction.empty()) {
+    // With latest-first ordering the "spreading apart" direction is negative
+    // separation, so the fade mirrors.
+    const double sEff =
+        sense_ == DominanceSense::EarliestFirst ? sLast_ : -sLast_;
+    const double weight =
+        sEff <= 0.0
+            ? 1.0
+            : std::max(0.0, 1.0 - sEff / std::max(dBeforeLast_, 1e-18));
+    const double dc = correction.delayFor(processed, y1_.edge) * weight;
+    dCum_ += dc;
+    if (options_.applyTransitionCorrection) {
+      tCum_ += correction.transitionFor(processed, y1_.edge) * weight;
+    }
+    res_.correctionApplied = dc;
+  }
+  res_.delay = dCum_;
+  res_.transitionTime = std::max(tCum_, 0.0);
+  res_.outputRefTime = y1_.tRef + dCum_;
+}
+
+bool ProximityComposition::reordered() const {
+  if (!options_.orderByDominance) return false;
+  return !std::is_sorted(order_.begin(), order_.end(),
+                         [&](std::size_t a, std::size_t b) {
+                           return sense_ == DominanceSense::EarliestFirst
+                                      ? events_[a].tRef < events_[b].tRef
+                                      : events_[a].tRef > events_[b].tRef;
+                         });
+}
+
+ProximityCalculator::ProximityCalculator(const Gate& gate,
+                                         const SingleInputModelSet& singles,
+                                         const DualInputModel& dual,
+                                         StepCorrection correction,
+                                         ProximityOptions options)
+    : gate_(gate),
+      singles_(singles),
+      dual_(dual),
+      correction_(std::move(correction)),
+      options_(options) {}
+
+ProximityResult ProximityCalculator::compute(
+    const std::vector<InputEvent>& events) const {
+  // This is the library's hottest scalar entry point (sub-microsecond per
+  // call), so all instrument sites share one batched cell fetch.
   PROX_OBS_BATCH(obsCells);
   PROX_OBS_COUNT_IN(obsCells, "model.proximity.computes", 1);
   PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_seen", events.size());
 
-  const DominanceSense sense = sense_(events);
-  std::vector<std::size_t> order;
-  if (options_.orderByDominance) {
-    order = dominanceOrder(events, singles_, sense);
+  ProximityComposition c;
+  c.start(events, gate_, singles_, options_);
 #if PROX_ENABLE_STATS
-    // A dominance reordering is any deviation from arrival order in the
-    // sense direction (ascending tRef for earliest-first, descending for
-    // latest-first) -- the paper's Step 1 doing real work rather than
-    // echoing the input sequence.
-    if (obsCells != nullptr &&
-        !std::is_sorted(order.begin(), order.end(),
-                        [&](std::size_t a, std::size_t b) {
-                          return sense == DominanceSense::EarliestFirst
-                                     ? events[a].tRef < events[b].tRef
-                                     : events[a].tRef > events[b].tRef;
-                        })) {
-      PROX_OBS_COUNT_IN(obsCells, "model.proximity.dominance_reorders", 1);
-    }
+  if (obsCells != nullptr && c.reordered()) {
+    PROX_OBS_COUNT_IN(obsCells, "model.proximity.dominance_reorders", 1);
+  }
 #endif
-  } else {
-    order.resize(events.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return events[a].tRef < events[b].tRef;
-    });
+  ProximityComposition::Step step;
+  while (c.next(step)) {
+    const double tRatio = dual_.transitionRatio(step.transition);
+    c.fold(tRatio, step.inDelayWindow ? dual_.delayRatio(step.delay) : 0.0);
   }
-  const InputEvent& y1 = events[order[0]];
-  const SingleInputModel& m1 = singles_.at(y1.pin, y1.edge);
-  const double d1 = m1.delay(y1.tau);     // Delta_{y1}^{(1)}
-  const double t1 = m1.transition(y1.tau);  // tau_{y1}^{(1)}
+  c.finish(correction_);
 
-  ProximityResult res;
-  res.dominantPin = y1.pin;
-  res.processedPins.push_back(y1.pin);
-
-  double dCum = d1;  // Delta^{(i-1)} running value
-  double tCum = t1;
-  // Delta^{(m-1)}: cumulative delay *before* the last processed input was
-  // folded in -- the corrective term's decay length.
-  double dBeforeLast = d1;
-  double sLast = 0.0;  // s_{y1, ym} of the last processed input
-
-  for (std::size_t idx = 1; idx < order.size(); ++idx) {
-    const InputEvent& yi = events[order[idx]];
-    const double s = yi.tRef - y1.tRef;  // s_{y1, yi}
-
-    DualQuery q;
-    q.refPin = y1.pin;
-    q.otherPin = yi.pin;
-    q.edge = y1.edge;
-    q.tauRef = y1.tau;
-    q.tauOther = yi.tau;
-
-    // Transition-time perturbation: the paper's "slight modification of the
-    // algorithm".  Two differences from the delay chain, both validated
-    // against the simulator: the equivalent waveform is aligned on the
-    // output's *completion* time (Delta + tau) instead of its crossing, and
-    // ratios compose multiplicatively -- transition-time perturbations are
-    // large (a second parallel path can halve the transition), where the
-    // additive form double-counts.
-    const auto foldTransition = [&] {
-      DualQuery qt = q;
-      qt.sep = s + (d1 + t1) - (dCum + tCum);
-      const double tRatio = dual_.transitionRatio(qt);
-      if (options_.transitionComposition == TransitionComposition::Additive) {
-        tCum += t1 * (tRatio - 1.0);
-      } else {
-        tCum *= tRatio;
-      }
-    };
-
-    if (s < dCum) {
-      // Inside the delay proximity window: apply eq (4.4)/(4.5) with the
-      // equivalent-waveform shift.
-      q.sep = s + d1 - dCum;  // separation measured from y*
-      foldTransition();
-      const double ratio = dual_.delayRatio(q);
-      dBeforeLast = dCum;
-      dCum += d1 * (ratio - 1.0);
-      sLast = s;
-      res.processedPins.push_back(yi.pin);
-    } else if (s < dCum + tCum) {
-      // Outside the delay window but inside the transition-time window
-      // (Section 3: only for s > Delta^(1) + tau^(1) can the effect on the
-      // output transition time be ignored).
-      foldTransition();
-      res.transitionOnlyPins.push_back(yi.pin);
-    } else {
-      // Step 3's loop condition: with earliest-first ordering the first
-      // input outside the window stops the processing (later inputs are
-      // assumed unimportant).  With latest-first ordering (series stacks)
-      // the remaining inputs are *earlier*, not later, so they are skipped
-      // individually rather than cutting the loop.
-      if (sense == DominanceSense::EarliestFirst) {
-        PROX_OBS_COUNT_IN(obsCells, "model.proximity.window_exits", 1);
-        PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_window_skipped",
-                          order.size() - idx);
-        break;
-      }
-      PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_window_skipped", 1);
-    }
+  const ProximityResult& res = c.result();
+  if (c.windowExits() != 0) {
+    PROX_OBS_COUNT_IN(obsCells, "model.proximity.window_exits",
+                      c.windowExits());
   }
-
-  // Corrective term (Section 4): bounded by the simultaneous-step error,
-  // fading linearly to zero at s_{y1,ym} = Delta^{(m-1)}.
-  if (options_.applyCorrection && res.processedPins.size() >= 2 &&
-      !correction_.empty()) {
-    // With latest-first ordering the "spreading apart" direction is negative
-    // separation, so the fade mirrors.
-    const double sEff =
-        sense == DominanceSense::EarliestFirst ? sLast : -sLast;
-    const double weight =
-        sEff <= 0.0
-            ? 1.0
-            : std::max(0.0, 1.0 - sEff / std::max(dBeforeLast, 1e-18));
-    const double dc =
-        correction_.delayFor(res.processedPins.size(), y1.edge) * weight;
-    dCum += dc;
-    if (options_.applyTransitionCorrection) {
-      tCum += correction_.transitionFor(res.processedPins.size(), y1.edge) *
-              weight;
-    }
-    res.correctionApplied = dc;
-    if (dc != 0.0) {
-      PROX_OBS_COUNT_IN(obsCells, "model.proximity.corrections_applied", 1);
-      // Magnitude of the corrective term, recorded as a real-valued sample
-      // (seconds): mean/min/max show how hard the repair works in practice.
-      PROX_OBS_RECORD_IN(obsCells, "model.proximity.correction_magnitude_s",
-                         std::fabs(dc));
-    }
+  if (c.windowSkipped() != 0) {
+    PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_window_skipped",
+                      c.windowSkipped());
   }
-
+  if (res.correctionApplied != 0.0) {
+    PROX_OBS_COUNT_IN(obsCells, "model.proximity.corrections_applied", 1);
+    // Magnitude of the corrective term, recorded as a real-valued sample
+    // (seconds): mean/min/max show how hard the repair works in practice.
+    PROX_OBS_RECORD_IN(obsCells, "model.proximity.correction_magnitude_s",
+                       std::fabs(res.correctionApplied));
+  }
   PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_processed",
                     res.processedPins.size());
   PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_transition_only",
                     res.transitionOnlyPins.size());
-
-  res.delay = dCum;
-  res.transitionTime = std::max(tCum, 0.0);
-  res.outputRefTime = y1.tRef + dCum;
-  return res;
+  return c.release();
 }
 
 ProximityResult ProximityCalculator::computeClassic(
     const std::vector<InputEvent>& events) const {
-  if (events.empty()) {
-    throw std::invalid_argument("ProximityCalculator: no events");
-  }
   PROX_OBS_COUNT("model.proximity.classic_computes", 1);
-  const std::vector<std::size_t> order =
-      dominanceOrder(events, singles_, sense_(events));
-  const InputEvent& y1 = events[order[0]];
-  const SingleInputModel& m1 = singles_.at(y1.pin, y1.edge);
-
-  ProximityResult res;
-  res.dominantPin = y1.pin;
-  res.processedPins.push_back(y1.pin);
-  res.delay = m1.delay(y1.tau);
-  res.transitionTime = m1.transition(y1.tau);
-  res.outputRefTime = y1.tRef + res.delay;
-  return res;
+  ProximityComposition c;
+  c.start(events, gate_, singles_, ProximityOptions{});
+  return c.release();
 }
 
 }  // namespace prox::model

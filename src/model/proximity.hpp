@@ -22,6 +22,8 @@
 //      linearly to zero at s_{y1,ym} = Delta^{(m-1)}.
 
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "model/dominance.hpp"
@@ -82,19 +84,178 @@ struct ProximityResult {
   double correctionApplied = 0.0;  ///< signed corrective delay term [s]
 };
 
+/// Algorithm ProximityDelay for one same-direction event set, in resumable
+/// form.  This is the one implementation of the algorithm: both
+/// ProximityCalculator (one arc, lookups answered at once) and the STA's
+/// batch evaluator (sta/batch_eval.hpp: many arcs in lockstep, lookups
+/// answered together) drive it.  The caller owns the dual-input lookups:
+///
+///   ProximityComposition c;
+///   c.start(events, gate, singles, options);  // steps 1-2
+///   // c.result() is now the classic single-input result
+///   ProximityComposition::Step step;
+///   while (c.next(step)) {                    // steps 3-4
+///     const double t = dual.transitionRatio(step.transition);
+///     c.fold(t, step.inDelayWindow ? dual.delayRatio(step.delay) : 0.0);
+///   }
+///   c.finish(correction);                     // step 5
+///   // c.result() is now the proximity result
+///
+/// A composition keeps its vectors' capacity across start() calls, so a
+/// reused one makes no heap allocation once it has seen its largest event
+/// set.  The events must stay alive and unchanged until finish().
+class ProximityComposition {
+ public:
+  /// One loop step: the dual-input queries for the next input y_i.
+  struct Step {
+    DualQuery transition;  ///< always looked up (kind = Transition)
+    DualQuery delay;       ///< looked up only inside the delay window
+    bool inDelayWindow = false;
+  };
+
+  /// Steps 1-2: orders the events (by dominance in the sense of
+  /// dominanceSense(gate.spec.type, gate.complex, events), or by arrival when
+  /// options.orderByDominance is false) and looks up the dominant input's
+  /// Delta^(1)/tau^(1).  Throws std::invalid_argument for an empty or
+  /// mixed-direction event set (use GlitchModel for opposite transitions),
+  /// and whatever the single-input lookups throw.
+  void start(std::span<const InputEvent> events, const Gate& gate,
+             const SingleInputModelSet& singles,
+             const ProximityOptions& options);
+
+  /// Steps 3-4: moves past inputs outside both proximity windows (no
+  /// lookups; tallied in windowExits()/windowSkipped()) to the next input
+  /// that needs one, and writes its queries into @p step.  Returns false
+  /// once every input is folded in or skipped.
+  bool next(Step& step);
+
+  /// Folds the current step's ratios in: the transition ratio first, then
+  /// -- inside the delay window -- the delay ratio (ignored outside it).
+  void fold(double transitionRatio, double delayRatio);
+
+  /// Step 5: applies the corrective term; result() then holds the
+  /// proximity result.
+  void finish(const StepCorrection& correction);
+
+  const ProximityResult& result() const { return res_; }
+  /// Moves the result out; start() again before reusing the composition.
+  ProximityResult release() { return std::move(res_); }
+
+  /// Earliest-first window exits (0 or 1 per arc), and the inputs left out
+  /// of both windows, including those a window exit cut off.
+  std::size_t windowExits() const { return windowExits_; }
+  std::size_t windowSkipped() const { return windowSkipped_; }
+
+  /// True when the dominance order deviates from arrival order in the sense
+  /// direction (ascending tRef for earliest-first, descending for
+  /// latest-first) -- the paper's Step 1 doing real work rather than
+  /// echoing the input sequence.  Always false under arrival ordering.
+  bool reordered() const;
+
+ private:
+  std::span<const InputEvent> events_;
+  ProximityOptions options_;
+  DominanceSense sense_ = DominanceSense::EarliestFirst;
+  std::vector<std::size_t> order_;
+  std::vector<double> crossing_;  ///< dominanceOrder's scratch
+  InputEvent y1_;
+  double d1_ = 0.0, t1_ = 0.0;  ///< Delta_{y1}^(1), tau_{y1}^(1)
+  double dCum_ = 0.0;           ///< Delta^(i-1), the running delay
+  double tCum_ = 0.0;           ///< the running transition time
+  /// Delta^(m-1): the running delay *before* the last processed input was
+  /// folded in -- the corrective term's decay length.
+  double dBeforeLast_ = 0.0;
+  double sLast_ = 0.0;  ///< s_{y1,ym} of the last processed input
+  std::size_t idx_ = 1;  ///< next position in order_
+  // The current step, between next() and fold().
+  double sCur_ = 0.0;
+  int pinCur_ = 0;
+  bool inDelayWindow_ = false;
+  std::size_t windowExits_ = 0, windowSkipped_ = 0;
+  ProximityResult res_;
+};
+
+// next() and fold() run once per folded input in the STA's inner loop, which
+// lives in another translation unit; they are defined here so it inlines
+// them.
+
+inline bool ProximityComposition::next(Step& step) {
+  while (idx_ < order_.size()) {
+    const InputEvent& yi = events_[order_[idx_]];
+    const double s = yi.tRef - y1_.tRef;  // s_{y1, yi}
+    if (s < dCum_) {
+      // Inside the delay proximity window: eq (4.4)/(4.5) apply.
+      step.inDelayWindow = true;
+    } else if (s < dCum_ + tCum_) {
+      // Outside the delay window but inside the transition-time window
+      // (Section 3: only for s > Delta^(1) + tau^(1) can the effect on the
+      // output transition time be ignored).
+      step.inDelayWindow = false;
+    } else {
+      // Step 3's loop condition: with earliest-first ordering the first
+      // input outside the window stops the processing (later inputs are
+      // assumed unimportant).  With latest-first ordering (series stacks)
+      // the remaining inputs are *earlier*, not later, so they are skipped
+      // individually rather than cutting the loop.
+      if (sense_ == DominanceSense::EarliestFirst) {
+        windowExits_ += 1;
+        windowSkipped_ += order_.size() - idx_;
+        idx_ = order_.size();
+        return false;
+      }
+      windowSkipped_ += 1;
+      ++idx_;
+      continue;
+    }
+    sCur_ = s;
+    pinCur_ = yi.pin;
+    inDelayWindow_ = step.inDelayWindow;
+    step.transition.refPin = y1_.pin;
+    step.transition.otherPin = yi.pin;
+    step.transition.edge = y1_.edge;
+    step.transition.tauRef = y1_.tau;
+    step.transition.tauOther = yi.tau;
+    // Transition-time perturbation: the paper's "slight modification of the
+    // algorithm".  The equivalent waveform is aligned on the output's
+    // *completion* time (Delta + tau) instead of its crossing.
+    step.transition.sep = s + (d1_ + t1_) - (dCum_ + tCum_);
+    step.transition.kind = DualKind::Transition;
+    if (step.inDelayWindow) {
+      step.delay = step.transition;
+      step.delay.sep = s + d1_ - dCum_;  // separation measured from y*
+      step.delay.kind = DualKind::Delay;
+    }
+    return true;
+  }
+  return false;
+}
+
+inline void ProximityComposition::fold(double transitionRatio,
+                                       double delayRatio) {
+  // Transition ratios compose multiplicatively by default: transition-time
+  // perturbations are large (a second parallel path can halve the
+  // transition), where the additive form double-counts.
+  if (options_.transitionComposition == TransitionComposition::Additive) {
+    tCum_ += t1_ * (transitionRatio - 1.0);
+  } else {
+    tCum_ *= transitionRatio;
+  }
+  if (inDelayWindow_) {
+    dBeforeLast_ = dCum_;
+    dCum_ += d1_ * (delayRatio - 1.0);  // eq (4.5)
+    sLast_ = sCur_;
+    res_.processedPins.push_back(pinCur_);
+  } else {
+    res_.transitionOnlyPins.push_back(pinCur_);
+  }
+  ++idx_;
+}
+
 class ProximityCalculator {
  public:
-  /// All references must outlive the calculator.  @p gateType selects the
-  /// dominance sense per transition direction (see dominance.hpp).
-  ProximityCalculator(cells::GateType gateType,
-                      const SingleInputModelSet& singles,
-                      const DualInputModel& dual,
-                      StepCorrection correction = {},
-                      ProximityOptions options = {});
-
-  /// Variant with an explicit dominance-sense strategy (used for complex
-  /// gates, where the sense depends on the switching subnetwork).
-  ProximityCalculator(SenseResolver sense, const SingleInputModelSet& singles,
+  /// All references must outlive the calculator.  @p gate selects the
+  /// dominance sense per event set (dominanceSense()).
+  ProximityCalculator(const Gate& gate, const SingleInputModelSet& singles,
                       const DualInputModel& dual,
                       StepCorrection correction = {},
                       ProximityOptions options = {});
@@ -105,12 +266,13 @@ class ProximityCalculator {
   ProximityResult compute(const std::vector<InputEvent>& events) const;
 
   /// Classic single-input-switching calculation for the same events: the
-  /// dominant input's Delta^(1)/tau^(1) with proximity ignored.  Used by the
-  /// ablation and STA-comparison benches.
+  /// dominant input's Delta^(1)/tau^(1) with proximity ignored (always
+  /// ranked by dominance).  Throws like compute().  Used by the ablation and
+  /// STA-comparison benches and the STA's degradation ladder.
   ProximityResult computeClassic(const std::vector<InputEvent>& events) const;
 
  private:
-  SenseResolver sense_;
+  const Gate& gate_;
   const SingleInputModelSet& singles_;
   const DualInputModel& dual_;
   StepCorrection correction_;

@@ -6,6 +6,7 @@
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "support/bounded.hpp"
 
 namespace prox::par {
 namespace {
@@ -15,13 +16,18 @@ std::atomic<int> g_defaultOverride{0};
 // Set while the calling thread is inside ThreadPool::workerLoop.
 thread_local bool t_onWorker = false;
 
+// PROX_THREADS as a whole positive integer (capped at kMaxThreads); any
+// other value counts as unset.
 int envThreadCount() {
   const char* env = std::getenv("PROX_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || parsed <= 0) return 0;
-  return static_cast<int>(std::min<long>(parsed, kMaxThreads));
+  if (env == nullptr) return 0;
+  try {
+    const long long parsed =
+        support::parseIntChecked(env, "par", "PROX_THREADS", -1, 1);
+    return static_cast<int>(std::min<long long>(parsed, kMaxThreads));
+  } catch (const support::DiagnosticError&) {
+    return 0;
+  }
 }
 
 int clampThreads(int threads) {

@@ -34,7 +34,8 @@ namespace prox::par {
 inline constexpr int kMaxThreads = 64;
 
 /// The process-default worker count: the setDefaultThreadCount() override if
-/// one was installed, else the PROX_THREADS environment variable, else
+/// one was installed, else the PROX_THREADS environment variable when it is
+/// a whole positive integer, else
 /// std::thread::hardware_concurrency() (at least 1).
 int defaultThreadCount();
 

@@ -1,34 +1,36 @@
 #pragma once
-// Batched per-gate delay calculation: the lockstep mirror of
-// evaluateGate() used by the levelized STA, in both delay modes.
+// Batched per-gate delay calculation: evaluateGate() for a whole chunk of
+// same-level arcs, used by the levelized STA in both delay modes.
 //
 // evaluateGate() costs every arc a ProximityCalculator construction (the
-// StepCorrection vectors and a std::function copied) plus one virtual
-// dual-table lookup per folded input.  This evaluator instead keeps all
-// per-arc state in reused per-thread scratch and shares one setup between
-// the modes: the switching events, the anomaly screen, the dominance order
-// (one single-input lookup per input, sorted into the arc's own storage) and
-// the dominant input's Delta^(1)/tau^(1).
-//   * Classic mode finishes there, as computeClassic() does: the output
-//     crosses at y1.tRef + Delta^(1) with slope tau^(1).
-//   * Proximity mode runs a whole chunk of same-level arcs in lockstep
-//     rounds: each round collects, across all arcs, the dual-input queries
-//     their compositions need next, groups them by dual-table model and
-//     answers them with one TabulatedDualInputModel::evaluateMany() call per
-//     model -- grid location amortized, trilinear blends vectorized.
+// StepCorrection vectors copied) plus one virtual dual-table lookup per
+// folded input.  This evaluator instead keeps all per-arc state in reused
+// per-thread scratch.  Each arc's Algorithm ProximityDelay is a
+// model::ProximityComposition -- the same code ProximityCalculator runs --
+// and the batch only does batch work:
+//   * setup starts every arc's composition: the switching events, the
+//     anomaly screen, the dominance order and the dominant input's
+//     Delta^(1)/tau^(1).  Classic mode finishes there, as computeClassic()
+//     does.
+//   * Proximity mode advances the compositions in lockstep rounds: each
+//     round stages, across all arcs, the dual-input queries their next
+//     steps need, groups them by dual-table model and answers them with one
+//     TabulatedDualInputModel::evaluateMany() call per model -- grid
+//     location amortized, trilinear blends vectorized -- then folds the
+//     answers back in.
 // After warm-up (scratch grown to the largest chunk) a batch of simple-gate
 // arcs makes no heap allocation in either mode.
 //
-// Bit-identity contract: for every arc the produced Arrival and ArcQuality
-// equal evaluateGate()'s exactly, and so do the counters.  The composition
-// replays Algorithm ProximityDelay statement for statement (same query
-// values, same update order, same correction arithmetic), and evaluateMany()
-// is bit-identical to the scalar lookups.  Any anomaly -- pin-count
-// mismatch, mixed directions, missing models, out-of-trust clamps, any
-// exception -- re-runs that arc through scalar evaluateGate(), which stays
-// the reference: it reproduces the scalar path's diagnostics, degradation
-// ladder and counters, and propagation-class errors (caller bugs,
-// allowDegraded=false) throw out of it naturally.
+// Equivalence with evaluateGate(): for every arc the produced Arrival and
+// ArcQuality equal evaluateGate()'s exactly, and so do the counters.  Both
+// paths run one composition, and evaluateMany() is bit-identical to the
+// scalar lookups, so what is left to hold equal is the batch work itself:
+// the clamp mirrors, the trust check and the counter flushes.  Any anomaly
+// -- pin-count mismatch, mixed directions, missing models, out-of-trust
+// clamps, any exception -- re-runs that arc through scalar evaluateGate(),
+// which reproduces the scalar path's diagnostics, degradation ladder and
+// counters; propagation-class errors (caller bugs, allowDegraded=false)
+// throw out of it naturally.
 
 #include <span>
 

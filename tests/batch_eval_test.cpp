@@ -2,8 +2,7 @@
 // evaluateGateBatch() must produce evaluateGate()'s arrivals bit for bit,
 // the same ArcQuality, the same sta.delay_calc.* / model.proximity.*
 // counter deltas, and -- for caller bugs and allowDegraded=false -- the
-// same exception from the same (lowest) arc.  Classic mode is the focus
-// (it finishes inside the batch's arc setup); Proximity rides along.
+// same exception from the same (lowest) arc, in both delay modes.
 
 #include <gtest/gtest.h>
 
@@ -134,6 +133,12 @@ const CharacterizedGate& analytic(cells::GateType type, int fanin) {
   return library.require(type, fanin);
 }
 
+const CharacterizedGate& aoi21() {
+  static const CharacterizedGate g = characterize::characterizeComplexGate(
+      cells::aoi21(), testutil::fastConfig());
+  return g;
+}
+
 /// An analytic NAND2 whose singles set is rebuilt from pin 0's models: pin 1
 /// gets a copy of them (@p tiePins, so equal events tie exactly) or keeps
 /// only its rising model.  The dual tables still read the original set,
@@ -220,6 +225,16 @@ TEST(BatchEval, SeededMixedLibraryArcsMatchBitForBit) {
       if (rng() % 4 != 0) p = Arrival{t(rng), tau(rng), edge};
     }
     arcs.push_back({cell, std::move(pins)});
+  }
+  // Characterized AOI21 arcs: the structural dominance sense and the
+  // per-pair dual tables of a complex gate.
+  for (int i = 0; i < 100; ++i) {
+    const Edge edge = rng() % 2 == 0 ? Edge::Rising : Edge::Falling;
+    Pins pins(static_cast<std::size_t>(aoi21().pinCount()));
+    for (auto& p : pins) {
+      if (rng() % 4 != 0) p = Arrival{t(rng), tau(rng), edge};
+    }
+    arcs.push_back({&aoi21(), std::move(pins)});
   }
   for (const DelayMode mode : kModes) {
     SCOPED_TRACE(mode == DelayMode::Classic ? "classic" : "proximity");

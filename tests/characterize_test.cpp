@@ -152,8 +152,8 @@ TEST(StepCorrectionCharacterize, SimulationMinusModelSign) {
 
   model::ProximityOptions raw;
   raw.applyCorrection = false;
-  const model::ProximityCalculator calc(cg.gate.spec.type, *cg.singles,
-                                        *cg.dual, {}, raw);
+  const model::ProximityCalculator calc(cg.gate, *cg.singles, *cg.dual, {},
+                                        raw);
   std::vector<model::InputEvent> evs{
       {0, Edge::Rising, 0.0, testutil::fastConfig().stepTau},
       {1, Edge::Rising, 0.0, testutil::fastConfig().stepTau}};

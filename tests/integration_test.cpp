@@ -28,8 +28,7 @@ TEST(Integration, OracleModeErrorsStaySmall) {
   model::OracleDualInputModel oracle(sim, *cg.singles);
   const auto corr = characterize::characterizeStepCorrection(
       sim, *cg.singles, oracle, testutil::fastConfig().stepTau);
-  const model::ProximityCalculator calc(cg.gate.spec.type, *cg.singles, oracle,
-                                        corr);
+  const model::ProximityCalculator calc(cg.gate, *cg.singles, oracle, corr);
 
   std::mt19937 rng(12345);
   std::uniform_real_distribution<double> tauDist(50e-12, 2000e-12);

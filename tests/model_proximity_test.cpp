@@ -4,10 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <random>
+#include <string>
+#include <utility>
 
+#include "characterize/analytic.hpp"
 #include "dominance_reference.hpp"
+#include "obs/registry.hpp"
+#include "proximity_reference.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -23,8 +29,10 @@ TEST(Dominance, FallingInputsEarliestCrossingWins) {
             model::DominanceSense::EarliestFirst);
   std::vector<InputEvent> evs{{0, Edge::Falling, 100e-12, 200e-12},
                               {1, Edge::Falling, 0.0, 200e-12}};
-  const auto order = model::dominanceOrder(
-      evs, *cg.singles, model::DominanceSense::EarliestFirst);
+  std::vector<std::size_t> order;
+  std::vector<double> crossing;
+  model::dominanceOrder(evs, *cg.singles, model::DominanceSense::EarliestFirst,
+                        order, crossing);
   EXPECT_EQ(order[0], 1u);
 }
 
@@ -36,8 +44,10 @@ TEST(Dominance, RisingInputsLatestCrossingWins) {
             model::DominanceSense::LatestFirst);
   std::vector<InputEvent> evs{{0, Edge::Rising, 100e-12, 200e-12},
                               {1, Edge::Rising, 0.0, 200e-12}};
-  const auto order = model::dominanceOrder(evs, *cg.singles,
-                                           model::DominanceSense::LatestFirst);
+  std::vector<std::size_t> order;
+  std::vector<double> crossing;
+  model::dominanceOrder(evs, *cg.singles, model::DominanceSense::LatestFirst,
+                        order, crossing);
   EXPECT_EQ(order[0], 0u);
 }
 
@@ -59,7 +69,10 @@ TEST(Dominance, FasterLateInputCanDominate) {
   const double sep = 0.5 * (dSlow - dFast);  // less than the crossover
   std::vector<InputEvent> evs{{0, Edge::Falling, 0.0, 2000e-12},
                               {1, Edge::Falling, sep, 50e-12}};
-  const auto order = model::dominanceOrder(evs, *cg.singles);
+  std::vector<std::size_t> order;
+  std::vector<double> crossing;
+  model::dominanceOrder(evs, *cg.singles, model::DominanceSense::EarliestFirst,
+                        order, crossing);
   EXPECT_EQ(order[0], 1u) << "fast input must dominate inside the crossover";
 }
 
@@ -74,8 +87,10 @@ TEST(Dominance, CrossoverMatchesDelayDifference) {
               1e-18);
   // Just beyond the crossover, a dominates again.
   b.tRef = sc * 1.01;
-  const auto order =
-      model::dominanceOrder({a, b}, *cg.singles);
+  std::vector<std::size_t> order;
+  std::vector<double> crossing;
+  model::dominanceOrder(std::vector<InputEvent>{a, b}, *cg.singles,
+                        model::DominanceSense::EarliestFirst, order, crossing);
   EXPECT_EQ(order[0], 0u);
 }
 
@@ -106,18 +121,16 @@ const model::SingleInputModelSet& twelvePinSingles() {
   return set;
 }
 
-/// Checks dominanceOrder (both forms, the in-place one on reused storage)
-/// against the reference in both senses.
+/// Checks dominanceOrder (on reused storage) against the reference in both
+/// senses.
 void expectOrderMatchesReference(const std::vector<InputEvent>& evs,
                                  std::vector<std::size_t>& order,
                                  std::vector<double>& crossing) {
   const auto& singles = twelvePinSingles();
   for (const auto sense : {model::DominanceSense::EarliestFirst,
                            model::DominanceSense::LatestFirst}) {
-    const auto want = testutil::referenceDominanceOrder(evs, singles, sense);
-    EXPECT_EQ(model::dominanceOrder(evs, singles, sense), want);
     model::dominanceOrder(evs, singles, sense, order, crossing);
-    EXPECT_EQ(order, want);
+    EXPECT_EQ(order, testutil::referenceDominanceOrder(evs, singles, sense));
   }
 }
 
@@ -168,7 +181,8 @@ TEST(DominanceOrder, ExactCrossingTiesKeepEventOrder) {
             model::predictedCrossing(evs[2], singles));
   for (const auto sense : {model::DominanceSense::EarliestFirst,
                            model::DominanceSense::LatestFirst}) {
-    const auto got = model::dominanceOrder(evs, singles, sense);
+    model::dominanceOrder(evs, singles, sense, order, crossing);
+    const std::vector<std::size_t>& got = order;
     // Tied events stay in event order whichever end dominates.
     EXPECT_LT(std::find(got.begin(), got.end(), 0u) - got.begin(),
               std::find(got.begin(), got.end(), 2u) - got.begin());
@@ -300,7 +314,20 @@ TEST(Proximity, MixedDirectionsThrow) {
   const auto calc = cg.calculator();
   std::vector<InputEvent> evs{{0, Edge::Rising, 0.0, 300e-12},
                               {1, Edge::Falling, 0.0, 300e-12}};
-  EXPECT_THROW(calc.compute(evs), std::invalid_argument);
+  const auto message = [](auto&& fn) {
+    try {
+      fn();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  const std::string error = message([&] { calc.compute(evs); });
+  EXPECT_NE(error.find("mixed transition directions"), std::string::npos)
+      << error;
+  // The classic calculation shares compute()'s setup, so it rejects the
+  // same events with the same error.
+  EXPECT_EQ(message([&] { calc.computeClassic(evs); }), error);
 }
 
 TEST(Proximity, EmptyEventsThrow) {
@@ -383,6 +410,232 @@ TEST(Proximity, AdditiveCompositionOptionChangesTransitionOnly) {
   const auto rm = calcMul.compute(evs);
   EXPECT_DOUBLE_EQ(ra.delay, rm.delay);
   EXPECT_NE(ra.transitionTime, rm.transitionTime);
+}
+
+// -- the composition against the straight-line reference ---------------------
+
+const char* const kProximityCounters[] = {
+    "model.proximity.computes",
+    "model.proximity.classic_computes",
+    "model.proximity.inputs_seen",
+    "model.proximity.dominance_reorders",
+    "model.proximity.window_exits",
+    "model.proximity.inputs_window_skipped",
+    "model.proximity.corrections_applied",
+    "model.proximity.inputs_processed",
+    "model.proximity.inputs_transition_only",
+};
+
+std::vector<std::uint64_t> proximityCounters() {
+  std::vector<std::uint64_t> v;
+  for (const char* name : kProximityCounters) {
+    v.push_back(obs::counter(name).value());
+  }
+  return v;
+}
+
+/// Runs @p fn and returns its result with the model.proximity.* deltas.
+template <class Fn>
+std::pair<model::ProximityResult, std::vector<std::uint64_t>> withDeltas(
+    Fn&& fn) {
+  const auto before = proximityCounters();
+  model::ProximityResult r = fn();
+  auto deltas = proximityCounters();
+  for (std::size_t i = 0; i < deltas.size(); ++i) deltas[i] -= before[i];
+  return {std::move(r), std::move(deltas)};
+}
+
+bool sameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expectSameResult(const model::ProximityResult& got,
+                      const model::ProximityResult& want) {
+  EXPECT_TRUE(sameBits(got.delay, want.delay))
+      << got.delay << " vs " << want.delay;
+  EXPECT_TRUE(sameBits(got.transitionTime, want.transitionTime))
+      << got.transitionTime << " vs " << want.transitionTime;
+  EXPECT_EQ(got.dominantPin, want.dominantPin);
+  EXPECT_TRUE(sameBits(got.outputRefTime, want.outputRefTime))
+      << got.outputRefTime << " vs " << want.outputRefTime;
+  EXPECT_EQ(got.processedPins, want.processedPins);
+  EXPECT_EQ(got.transitionOnlyPins, want.transitionOnlyPins);
+  EXPECT_TRUE(sameBits(got.correctionApplied, want.correctionApplied))
+      << got.correctionApplied << " vs " << want.correctionApplied;
+}
+
+/// What a sweep exercised, so it can prove it reached every branch.
+struct Coverage {
+  int multiFold = 0;       ///< three or more inputs folded into the delay
+  int transitionOnly = 0;  ///< an input only perturbed the transition
+  int leftOut = 0;         ///< an input fell outside both windows
+  int corrected = 0;       ///< a non-zero corrective term
+};
+
+/// Holds compute() and computeClassic() to the reference on @p evs under
+/// all 16 ProximityOptions combinations, counters included.
+void expectMatchesReference(const model::Gate& gate,
+                            const model::SingleInputModelSet& singles,
+                            const model::DualInputModel& dual,
+                            const model::StepCorrection& correction,
+                            const std::vector<InputEvent>& evs,
+                            Coverage& seen) {
+  for (int mask = 0; mask < 16; ++mask) {
+    SCOPED_TRACE("options mask " + std::to_string(mask));
+    model::ProximityOptions o;
+    o.applyCorrection = (mask & 1) != 0;
+    o.applyTransitionCorrection = (mask & 2) != 0;
+    o.transitionComposition =
+        (mask & 4) != 0 ? model::TransitionComposition::Additive
+                        : model::TransitionComposition::Multiplicative;
+    o.orderByDominance = (mask & 8) == 0;
+    const model::ProximityCalculator calc(gate, singles, dual, correction, o);
+    const auto want = withDeltas([&] {
+      return testutil::referenceCompute(gate, singles, dual, correction, o,
+                                        evs);
+    });
+    const auto got = withDeltas([&] { return calc.compute(evs); });
+    expectSameResult(got.first, want.first);
+    EXPECT_EQ(got.second, want.second);
+
+    const model::ProximityResult& r = got.first;
+    if (r.processedPins.size() >= 3) ++seen.multiFold;
+    if (!r.transitionOnlyPins.empty()) ++seen.transitionOnly;
+    if (r.processedPins.size() + r.transitionOnlyPins.size() < evs.size()) {
+      ++seen.leftOut;
+    }
+    if (r.correctionApplied != 0.0) ++seen.corrected;
+  }
+  const auto wantClassic = withDeltas(
+      [&] { return testutil::referenceComputeClassic(gate, singles, evs); });
+  const model::ProximityCalculator calc(gate, singles, dual, correction);
+  const auto gotClassic = withDeltas([&] { return calc.computeClassic(evs); });
+  expectSameResult(gotClassic.first, wantClassic.first);
+  EXPECT_EQ(gotClassic.second, wantClassic.second);
+}
+
+/// @p count seeded same-direction event sets on @p cg's pins: a random
+/// subset of 1..pinCount pins in random order, with times and slopes drawn
+/// from a few values (so exact ties occur) or from continuous ranges.
+std::vector<std::vector<InputEvent>> seededEventSets(
+    const characterize::CharacterizedGate& cg, std::uint64_t seed0,
+    int count) {
+  const double kTRef[] = {0.0, 10e-12, 40e-12, 150e-12, 600e-12};
+  const double kTau[] = {50e-12, 200e-12, 700e-12, 2e-9};
+  std::vector<std::vector<InputEvent>> sets;
+  for (int k = 0; k < count; ++k) {
+    std::mt19937_64 rng(seed0 + static_cast<std::uint64_t>(k));
+    std::uniform_real_distribution<double> t(-200e-12, 800e-12);
+    std::uniform_real_distribution<double> tau(20e-12, 3e-9);
+    std::vector<int> pins(static_cast<std::size_t>(cg.pinCount()));
+    std::iota(pins.begin(), pins.end(), 0);
+    std::shuffle(pins.begin(), pins.end(), rng);
+    pins.resize(1 + rng() % pins.size());
+    const Edge edge = rng() % 2 == 0 ? Edge::Rising : Edge::Falling;
+    const bool discrete = rng() % 2 == 0;
+    std::vector<InputEvent> evs;
+    for (const int pin : pins) {
+      evs.push_back({pin, edge,
+                     discrete ? kTRef[rng() % std::size(kTRef)] : t(rng),
+                     discrete ? kTau[rng() % std::size(kTau)] : tau(rng)});
+    }
+    sets.push_back(std::move(evs));
+  }
+  return sets;
+}
+
+/// Event sets on the algorithm's boundaries: every pin switching at once
+/// (the deepest fold), and a second input exactly on the delay-window and
+/// transition-window edges of the first.
+std::vector<std::vector<InputEvent>> edgeEventSets(
+    const characterize::CharacterizedGate& cg) {
+  std::vector<std::vector<InputEvent>> sets;
+  if (cg.pinCount() < 2) return sets;
+  for (const Edge edge : {Edge::Rising, Edge::Falling}) {
+    std::vector<InputEvent> all;
+    for (int pin = 0; pin < cg.pinCount(); ++pin) {
+      all.push_back({pin, edge, 0.0, 200e-12});
+    }
+    sets.push_back(all);
+    const double d1 = cg.singles->at(0, edge).delay(200e-12);
+    const double t1 = cg.singles->at(0, edge).transition(200e-12);
+    for (const double s : {d1, d1 + t1}) {
+      sets.push_back({{0, edge, 0.0, 200e-12}, {1, edge, s, 200e-12}});
+    }
+  }
+  return sets;
+}
+
+void expectSetsMatchReference(const characterize::CharacterizedGate& cg,
+                              std::uint64_t seed0, int count,
+                              Coverage& seen) {
+  auto sets = seededEventSets(cg, seed0, count);
+  for (auto& evs : edgeEventSets(cg)) sets.push_back(std::move(evs));
+  for (const auto& evs : sets) {
+    SCOPED_TRACE(std::to_string(evs.size()) + " events");
+    expectMatchesReference(cg.gate, *cg.singles, *cg.dual, cg.correction, evs,
+                           seen);
+  }
+}
+
+TEST(ProximityComposition, MatchesReferenceOnAnalyticGatesOfOneToEightInputs) {
+  // Analytic packages: any fanin, a non-empty StepCorrection, and sharp
+  // enough ratios that every window branch comes up.
+  std::vector<characterize::CharacterizedGate> cells;
+  cells.push_back(characterize::analyticGate(testutil::invSpec()));
+  for (int fanin = 2; fanin <= 8; ++fanin) {
+    cells.push_back(characterize::analyticGate(testutil::nandSpec(fanin)));
+    cells.push_back(characterize::analyticGate(testutil::norSpec(fanin)));
+  }
+  Coverage seen;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    SCOPED_TRACE("cell " + std::to_string(c));
+    expectSetsMatchReference(cells[c], 1000 * c, 40, seen);
+  }
+  // A corrective term that drives the transition time negative, so the
+  // final clamp at zero is held to the reference too.
+  model::StepCorrection harsh;
+  harsh.delayErrorRising = harsh.delayErrorFalling = {1e-12};
+  harsh.transitionErrorRising = harsh.transitionErrorFalling = {-1e-6};
+  const characterize::CharacterizedGate& nand2 = cells[1];
+  for (const auto& evs : edgeEventSets(nand2)) {
+    expectMatchesReference(nand2.gate, *nand2.singles, *nand2.dual, harsh,
+                           evs, seen);
+  }
+  EXPECT_GT(seen.multiFold, 0);
+  EXPECT_GT(seen.transitionOnly, 0);
+  EXPECT_GT(seen.leftOut, 0);
+  EXPECT_GT(seen.corrected, 0);
+}
+
+TEST(ProximityComposition, MatchesReferenceOnCharacterizedGates) {
+  // Characterized tables, and the complex AOI21 whose dominance sense comes
+  // from its switching subnetwork.
+  static const characterize::CharacterizedGate aoi21 =
+      characterize::characterizeComplexGate(cells::aoi21(),
+                                            testutil::fastConfig());
+  Coverage seen;
+  expectSetsMatchReference(testutil::nand2Model(), 1, 40, seen);
+  expectSetsMatchReference(testutil::nand3Model(), 2, 40, seen);
+  expectSetsMatchReference(aoi21, 3, 60, seen);
+  EXPECT_GT(seen.transitionOnly, 0);
+  EXPECT_GT(seen.leftOut, 0);
+  EXPECT_GT(seen.corrected, 0);
+}
+
+TEST(ProximityComposition, MatchesReferenceThroughTheOracleModel) {
+  // compute() drives any DualInputModel, not only the tabulated one the STA
+  // batch answers in bulk.
+  const auto& cg = testutil::nand2Model();
+  model::GateSimulator sim(cg.gate);
+  model::OracleDualInputModel oracle(sim, *cg.singles);
+  Coverage seen;
+  for (const std::vector<InputEvent>& evs :
+       {std::vector<InputEvent>{{0, Edge::Falling, 0.0, 300e-12},
+                                {1, Edge::Falling, 30e-12, 150e-12}},
+        std::vector<InputEvent>{{1, Edge::Rising, 0.0, 400e-12},
+                                {0, Edge::Rising, 100e-12, 700e-12}}}) {
+    expectMatchesReference(cg.gate, *cg.singles, oracle, cg.correction, evs,
+                           seen);
+  }
 }
 
 TEST(StepCorrection, LookupSaturatesAtTableEnd) {

@@ -8,7 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -96,6 +98,28 @@ TEST(DefaultThreadCount, OverrideWinsAndResets) {
   EXPECT_EQ(par::defaultThreadCount(), par::kMaxThreads);
   par::setDefaultThreadCount(0);  // remove the override
   EXPECT_EQ(par::defaultThreadCount(), natural);
+}
+
+TEST(DefaultThreadCount, EnvironmentMustBeAWholePositiveInteger) {
+  const char* env = std::getenv("PROX_THREADS");
+  const std::optional<std::string> saved =
+      env != nullptr ? std::optional<std::string>(env) : std::nullopt;
+  ::unsetenv("PROX_THREADS");
+  const int natural = par::defaultThreadCount();
+  const std::string v = natural == 5 ? "6" : "5";
+  ::setenv("PROX_THREADS", v.c_str(), 1);
+  EXPECT_EQ(par::defaultThreadCount(), std::stoi(v));
+  for (const std::string& bad :
+       {v + "abc", v + " ", v + ".5", std::string("junk"), std::string("0"),
+        std::string("-4"), std::string("")}) {
+    ::setenv("PROX_THREADS", bad.c_str(), 1);
+    EXPECT_EQ(par::defaultThreadCount(), natural) << "'" << bad << "'";
+  }
+  if (saved) {
+    ::setenv("PROX_THREADS", saved->c_str(), 1);
+  } else {
+    ::unsetenv("PROX_THREADS");
+  }
 }
 
 // -- parallelFor coverage ----------------------------------------------------

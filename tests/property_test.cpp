@@ -163,7 +163,9 @@ TEST_P(DominancePermutation, HeadMinimizesPredictedCrossing) {
   }
   for (auto sense : {model::DominanceSense::EarliestFirst,
                      model::DominanceSense::LatestFirst}) {
-    const auto order = model::dominanceOrder(evs, *cg.singles, sense);
+    std::vector<std::size_t> order;
+    std::vector<double> crossing;
+    model::dominanceOrder(evs, *cg.singles, sense, order, crossing);
     ASSERT_EQ(order.size(), 3u);
     std::vector<bool> seen(3, false);
     for (std::size_t i : order) seen[i] = true;
@@ -207,10 +209,11 @@ TEST_P(DominanceShuffleInvariance, RankingAndResultSurvivePermutation) {
   // compare across permutations after mapping back to pins).
   auto pinRanking = [&](const std::vector<InputEvent>& events,
                         model::DominanceSense sense) {
+    std::vector<std::size_t> order;
+    std::vector<double> crossing;
+    model::dominanceOrder(events, *cg.singles, sense, order, crossing);
     std::vector<int> pins;
-    for (std::size_t i : model::dominanceOrder(events, *cg.singles, sense)) {
-      pins.push_back(events[i].pin);
-    }
+    for (std::size_t i : order) pins.push_back(events[i].pin);
     return pins;
   };
 
