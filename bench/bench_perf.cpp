@@ -346,7 +346,7 @@ void BM_DualTableInterpolation(benchmark::State& state) {
   q.tauOther = 500e-12;
   q.sep = 50e-12;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cg.dual->delayRatio(q));
+    benchmark::DoNotOptimize(cg.dual->lookup(q).value);
     q.sep = q.sep < 200e-12 ? q.sep + 1e-12 : -200e-12;
   }
 }
@@ -404,8 +404,7 @@ void BM_DualLookupScalarLoop(benchmark::State& state) {
   for (auto _ : state) {
     double acc = 0.0;
     for (const model::DualQuery& q : qs) {
-      acc += q.kind == model::DualKind::Delay ? cg.dual->delayRatio(q)
-                                              : cg.dual->transitionRatio(q);
+      acc += cg.dual->lookup(q).value;
     }
     benchmark::DoNotOptimize(acc);
   }

@@ -261,8 +261,7 @@ void buildDualTables(model::GateSimulator& sim,
   // pre-parallel transient sequence, and a parallel run writes each result
   // into the slot its index owns, so placement never depends on scheduling.
   struct SweepPoint {
-    model::DualQuery q;
-    bool transition = false;
+    model::DualQuery q;  ///< q.kind names the table the point fills
     std::size_t slot = 0;
   };
   std::vector<SweepPoint> points;
@@ -281,7 +280,6 @@ void buildDualTables(model::GateSimulator& sim,
       p.q.tauOther = std::clamp(dt.v[iv] * d1, 1e-12, 50e-9);
       for (std::size_t iw = 0; iw < dt.w.size(); ++iw) {
         p.q.sep = dt.w[iw] * d1;
-        p.transition = false;
         p.slot = dt.index(iu, iv, iw);
         points.push_back(p);
       }
@@ -294,9 +292,9 @@ void buildDualTables(model::GateSimulator& sim,
       p.q.edge = edge;
       p.q.tauRef = tauRef;
       p.q.tauOther = std::clamp(tt.v[iv] * t1, 1e-12, 50e-9);
+      p.q.kind = model::DualKind::Transition;
       for (std::size_t iw = 0; iw < tt.w.size(); ++iw) {
         p.q.sep = tt.w[iw] * t1;
-        p.transition = true;
         p.slot = tt.index(iu, iv, iw);
         points.push_back(p);
       }
@@ -316,6 +314,9 @@ void buildDualTables(model::GateSimulator& sim,
       std::to_string(otherPin) + ':' +
       (edge == wave::Edge::Rising ? 'r' : 'f');
   std::vector<std::optional<support::Diagnostic>> pointDiags(points.size());
+  const auto table = [&](const SweepPoint& p) -> model::DualTable& {
+    return p.q.kind == model::DualKind::Transition ? tt : dt;
+  };
   const auto evalPoint = [&](model::DualInputModel& oracle, std::size_t i) {
     const SweepPoint& p = points[i];
     double value = std::numeric_limits<double>::quiet_NaN();
@@ -325,16 +326,14 @@ void buildDualTables(model::GateSimulator& sim,
           replay.size() == 1) {
         // A journaled NaN replays the hole too, so the healing pass below
         // fills it exactly as the original run did.
-        (p.transition ? tt : dt).ratio[p.slot] =
-            support::bitsFromDouble(replay[0]);
+        table(p).ratio[p.slot] = support::bitsFromDouble(replay[0]);
         return;
       }
     }
     for (int a = 0; a < attempts; ++a) {
       try {
         if (a > 0) PROX_OBS_COUNT("characterize.point_retries", 1);
-        value =
-            p.transition ? oracle.transitionRatio(p.q) : oracle.delayRatio(p.q);
+        value = oracle.lookup(p.q).value;
         break;
       } catch (const std::exception& e) {
         if (!config.healPointFailures) throw;
@@ -344,7 +343,7 @@ void buildDualTables(model::GateSimulator& sim,
         }
       }
     }
-    (p.transition ? tt : dt).ratio[p.slot] = value;
+    table(p).ratio[p.slot] = value;
     if (config.checkpoint != nullptr) {
       config.checkpoint->record(ckptScope, i, {support::doubleToBits(value)});
     }

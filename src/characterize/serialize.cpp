@@ -25,9 +25,9 @@ namespace prox::characterize {
 namespace {
 
 constexpr const char* kMagic = "proxdelay-model";
-// Version 2 adds the optional per-table "healed" section; version 3 appends
-// a trailing "crc32 <8hex>" integrity line.  Version-1 and -2 files (no
-// healed marks / no CRC) still load.
+// The one accepted version.  Version 3 ends with a "crc32 <8hex>" integrity
+// line; versions 1 and 2 had no checksum, so they are rejected: a flipped
+// version digit must not switch the check off.
 constexpr int kVersion = 3;
 
 constexpr const char* kSite = "characterize.serialize";
@@ -432,7 +432,7 @@ CharacterizedGate loadGateModel(std::istream& is) {
   Reader r(in, &budget);
   const std::string magic = r.next("header magic");
   const long version = r.integer("header version");
-  if (magic != kMagic || version < 1 || version > kVersion) {
+  if (magic != kMagic || version != kVersion) {
     r.fail("bad header");
   }
 
@@ -574,20 +574,18 @@ CharacterizedGate loadGateModel(std::istream& is) {
   // Snapshot before touching the crc32 tokens: the stored checksum covers
   // every token up to and including "end".
   const std::uint32_t computed = r.crc();
-  if (version >= 3) {
-    r.expect("crc32");
-    const std::string stored = r.next("crc32 value");
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(stored.c_str(), &end, 16);
-    if (end != stored.c_str() + stored.size() || stored.size() != 8 ||
-        errno == ERANGE) {
-      r.fail("malformed crc32 value '" + stored + "'");
-    }
-    if (static_cast<std::uint32_t>(parsed) != computed) {
-      PROX_OBS_COUNT("characterize.serialize.crc_mismatches", 1);
-      r.fail("crc32 mismatch: file is corrupt or was hand-edited");
-    }
+  r.expect("crc32");
+  const std::string stored = r.next("crc32 value");
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long parsed = std::strtoul(stored.c_str(), &end, 16);
+  if (end != stored.c_str() + stored.size() || stored.size() != 8 ||
+      errno == ERANGE) {
+    r.fail("malformed crc32 value '" + stored + "'");
+  }
+  if (static_cast<std::uint32_t>(parsed) != computed) {
+    PROX_OBS_COUNT("characterize.serialize.crc_mismatches", 1);
+    r.fail("crc32 mismatch: file is corrupt or was hand-edited");
   }
   return g;
 }

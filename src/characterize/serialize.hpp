@@ -20,15 +20,15 @@ void saveGateModel(const CharacterizedGate& g, std::ostream& os);
 /// Throws support::DiagnosticError (IoError) on any filesystem failure.
 void saveGateModel(const CharacterizedGate& g, const std::string& path);
 
-/// Reads a package previously written by saveGateModel (format versions 1
-/// through 3; version 2 adds per-table healed-point marks, version 3 the
-/// trailing crc32 line, which is verified when present).  Throws
+/// Reads a package previously written by saveGateModel (format version 3
+/// only, whose trailing crc32 line is always verified; the unchecksummed
+/// versions 1 and 2 are rejected as a bad header).  Throws
 /// support::DiagnosticError -- a std::runtime_error whose Diagnostic carries
 /// code ParseError and the 1-based line of the offending token -- on
 /// truncated input, malformed or non-finite numbers, non-ascending grid
 /// axes, duplicate table/section declarations, out-of-range pins or fanin,
-/// unknown section tags, bad pull-network expressions, or a checksum
-/// mismatch.  Ingestion is bounded (code ResourceExhausted): the raw input,
+/// unknown section tags, bad pull-network expressions, a missing crc32
+/// line, or a checksum mismatch.  Ingestion is bounded (code ResourceExhausted): the raw input,
 /// individual tokens, grid axis lengths, and total table memory (a multiple
 /// of the input size) are all capped, and tables are charged against any
 /// active support::ResourceBudget.

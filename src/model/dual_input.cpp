@@ -83,7 +83,7 @@ OracleDualInputModel::OracleDualInputModel(GateSimulator& sim,
                                            DualMemo* memo)
     : sim_(sim), singles_(singles), memo_(memo != nullptr ? memo : &ownMemo_) {}
 
-DualMemo::Pair OracleDualInputModel::evaluate(const DualQuery& q) const {
+DualResult OracleDualInputModel::lookup(const DualQuery& q) const {
   // Memoize on attosecond-quantized times: queries repeated across sweeps
   // (the common case in the benches) hit the cache.
   const DualMemo::Key key =
@@ -92,65 +92,30 @@ DualMemo::Pair OracleDualInputModel::evaluate(const DualQuery& q) const {
   DualMemo::Pair p;
   if (memo_->find(key, &p)) {
     PROX_OBS_COUNT("model.dual.oracle_cache_hits", 1);
-    return p;
+  } else {
+    PROX_OBS_COUNT("model.dual.oracle_cache_misses", 1);
+    PROX_OBS_COUNT("model.dual.oracle_evals", 1);
+
+    InputEvent ref{q.refPin, q.edge, 0.0, q.tauRef};
+    InputEvent other{q.otherPin, q.edge, q.sep, q.tauOther};
+    const SimOutcome o = sim_.simulate({ref, other}, 0);
+
+    const SingleInputModel& m = singles_.at(q.refPin, q.edge);
+    const double d1 = m.delay(q.tauRef);
+    const double t1 = m.transition(q.tauRef);
+    if (o.delay && d1 > 0.0) p.delayRatio = *o.delay / d1;
+    if (o.transitionTime && t1 > 0.0) p.transitionRatio = *o.transitionTime / t1;
+    // Inserted only after a successful simulate(): a failed evaluation is
+    // never cached.
+    memo_->insert(key, p);
   }
-  PROX_OBS_COUNT("model.dual.oracle_cache_misses", 1);
-  PROX_OBS_COUNT("model.dual.oracle_evals", 1);
-
-  InputEvent ref{q.refPin, q.edge, 0.0, q.tauRef};
-  InputEvent other{q.otherPin, q.edge, q.sep, q.tauOther};
-  const SimOutcome o = sim_.simulate({ref, other}, 0);
-
-  const SingleInputModel& m = singles_.at(q.refPin, q.edge);
-  const double d1 = m.delay(q.tauRef);
-  const double t1 = m.transition(q.tauRef);
-
-  p = DualMemo::Pair{};
-  if (o.delay && d1 > 0.0) p.delayRatio = *o.delay / d1;
-  if (o.transitionTime && t1 > 0.0) p.transitionRatio = *o.transitionTime / t1;
-  // Inserted only after a successful simulate(): a failed evaluation is
-  // never cached (exactly the old map memo's behavior).
-  memo_->insert(key, p);
-  return p;
+  DualResult r;
+  r.value = q.kind == DualKind::Delay ? p.delayRatio : p.transitionRatio;
+  return r;
 }
-
-double OracleDualInputModel::delayRatio(const DualQuery& q) const {
-  return evaluate(q).delayRatio;
-}
-
-double OracleDualInputModel::transitionRatio(const DualQuery& q) const {
-  return evaluate(q).transitionRatio;
-}
-
-namespace {
-// Process-unique ids index each thread's slot vector, so two threads (or two
-// model instances) never share clamp-stats storage.
-std::atomic<std::uint64_t> gNextStatsId{0};
-}  // namespace
 
 TabulatedDualInputModel::TabulatedDualInputModel(const SingleInputModelSet& singles)
-    : singles_(singles),
-      statsId_(gNextStatsId.fetch_add(1, std::memory_order_relaxed)) {}
-
-TabulatedDualInputModel::StatsSlot& TabulatedDualInputModel::statsSlot() const {
-  thread_local std::vector<StatsSlot> slots;
-  if (slots.size() <= statsId_) {
-    slots.resize(static_cast<std::size_t>(statsId_) + 1);
-  }
-  return slots[static_cast<std::size_t>(statsId_)];
-}
-
-TabulatedDualInputModel::ClampStats TabulatedDualInputModel::clampStats() const {
-  return statsSlot().stats;
-}
-
-void TabulatedDualInputModel::resetClampStats() const {
-  statsSlot() = StatsSlot{};
-}
-
-double TabulatedDualInputModel::lastClampDistance() const {
-  return statsSlot().lastClampDistance;
-}
+    : singles_(singles) {}
 
 void TabulatedDualInputModel::setDelayTable(int refPin, wave::Edge edge,
                                             DualTable table) {
@@ -220,85 +185,45 @@ const DualTable& TabulatedDualInputModel::transitionTable(int refPin,
   return transitionTables_.at(key(refPin, edge));
 }
 
-double TabulatedDualInputModel::delayRatio(const DualQuery& q) const {
+DualResult TabulatedDualInputModel::lookup(const DualQuery& q) const {
   PROX_OBS_BATCH(obsCells);
   PROX_OBS_COUNT_IN(obsCells, "model.dual.table_lookups", 1);
   // Sampled 1-in-64: a lookup is ~100ns, so full timing would dominate it.
   PROX_OBS_SCOPED_HIST_NS_SAMPLED("model.dual.lookup_ns", 6);
-  StatsSlot& slot = statsSlot();
-  ++slot.stats.lookups;
-  slot.lastClampDistance = 0.0;
+  const bool delay = q.kind == DualKind::Delay;
   const SingleInputModel& m = singles_.at(q.refPin, q.edge);
   const double d1 = m.delay(q.tauRef);
-  // Outside the proximity window the other input cannot affect the delay.
-  if (q.sep >= d1) {
+  const double norm = delay ? d1 : m.transition(q.tauRef);
+  DualResult r;
+  // Outside the proximity window the other input cannot affect the result:
+  // sep >= Delta^(1) for the delay, sep >= Delta^(1) + tau^(1) for the
+  // transition time.
+  if (q.sep >= (delay ? d1 : d1 + norm)) {
     PROX_OBS_COUNT_IN(obsCells, "model.dual.window_shortcuts", 1);
-    return 1.0;
+    return r;
   }
-  auto pit = pairDelayTables_.find(pairKey(q.refPin, q.otherPin, q.edge));
+  const auto& pairTables = delay ? pairDelayTables_ : pairTransitionTables_;
+  const auto& refTables = delay ? delayTables_ : transitionTables_;
   const DualTable* t = nullptr;
-  if (pit != pairDelayTables_.end()) {
-    t = &pit->second;
-  } else if (auto it = delayTables_.find(key(q.refPin, q.edge));
-             it != delayTables_.end()) {
+  if (auto it = pairTables.find(pairKey(q.refPin, q.otherPin, q.edge));
+      it != pairTables.end()) {
     t = &it->second;
+  } else if (auto rit = refTables.find(key(q.refPin, q.edge));
+             rit != refTables.end()) {
+    t = &rit->second;
   } else {
     PROX_OBS_COUNT_IN(obsCells, "model.dual.missing_tables", 1);
     throw support::DiagnosticError(
-        support::makeDiagnostic(support::StatusCode::TableMissing,
-                                "no dual delay table for reference pin")
+        support::makeDiagnostic(
+            support::StatusCode::TableMissing,
+            delay ? "no dual delay table for reference pin"
+                  : "no dual transition table for reference pin")
             .withSite("model.dual")
             .withPin(q.refPin));
   }
-  double dist = 0.0;
-  const double r =
-      t->interpolate(q.tauRef / d1, q.tauOther / d1, q.sep / d1, &dist);
-  slot.lastClampDistance = dist;
-  if (dist > 0.0) {
-    ++slot.stats.clamped;
-    slot.stats.maxDistance = std::max(slot.stats.maxDistance, dist);
-    PROX_OBS_COUNT_IN(obsCells, "model.dual.clamped_lookups", 1);
-  }
-  return r;
-}
-
-double TabulatedDualInputModel::transitionRatio(const DualQuery& q) const {
-  PROX_OBS_BATCH(obsCells);
-  PROX_OBS_COUNT_IN(obsCells, "model.dual.table_lookups", 1);
-  PROX_OBS_SCOPED_HIST_NS_SAMPLED("model.dual.lookup_ns", 6);
-  StatsSlot& slot = statsSlot();
-  ++slot.stats.lookups;
-  slot.lastClampDistance = 0.0;
-  const SingleInputModel& m = singles_.at(q.refPin, q.edge);
-  const double d1 = m.delay(q.tauRef);
-  const double t1 = m.transition(q.tauRef);
-  // Transition-time proximity window: sep < Delta^(1) + tau^(1).
-  if (q.sep >= d1 + t1) {
-    PROX_OBS_COUNT_IN(obsCells, "model.dual.window_shortcuts", 1);
-    return 1.0;
-  }
-  auto pit = pairTransitionTables_.find(pairKey(q.refPin, q.otherPin, q.edge));
-  const DualTable* t = nullptr;
-  if (pit != pairTransitionTables_.end()) {
-    t = &pit->second;
-  } else if (auto it = transitionTables_.find(key(q.refPin, q.edge));
-             it != transitionTables_.end()) {
-    t = &it->second;
-  } else {
-    PROX_OBS_COUNT_IN(obsCells, "model.dual.missing_tables", 1);
-    throw support::DiagnosticError(
-        support::makeDiagnostic(support::StatusCode::TableMissing,
-                                "no dual transition table for reference pin")
-            .withSite("model.dual")
-            .withPin(q.refPin));
-  }
-  double dist = 0.0;
-  const double r =
-      t->interpolate(q.tauRef / t1, q.tauOther / t1, q.sep / t1, &dist);
-  slot.lastClampDistance = dist;
-  if (dist > 0.0) {
-    ++slot.stats.clamped;
-    slot.stats.maxDistance = std::max(slot.stats.maxDistance, dist);
+  r.value = t->interpolate(q.tauRef / norm, q.tauOther / norm, q.sep / norm,
+                           &r.clampDistance);
+  if (r.clampDistance > 0.0) {
     PROX_OBS_COUNT_IN(obsCells, "model.dual.clamped_lookups", 1);
   }
   return r;
@@ -346,7 +271,7 @@ void TabulatedDualInputModel::rebuildIndex() {
     for (const auto& [k, t] : tables) maxKey = std::max(maxKey, k);
     slots.assign(maxKey >= 0 ? static_cast<std::size_t>(maxKey) + 1 : 0, -1);
     for (const auto& [k, t] : tables) {
-      if (k < 0) continue;  // batched path answers MissingTable; scalar still works
+      if (k < 0) continue;  // batched path answers MissingTable; lookup() still works
       slots[static_cast<std::size_t>(k)] =
           static_cast<std::int32_t>(views_.size());
       appendView(t);
@@ -431,7 +356,7 @@ void TabulatedDualInputModel::evaluateMany(std::span<const DualQuery> queries,
   PROX_OBS_BATCH(obsCells);
   PROX_OBS_COUNT_IN(obsCells, "model.dual.batch_calls", 1);
   PROX_OBS_COUNT_IN(obsCells, "model.dual.batch_queries", n);
-  // Scalar parity: delayRatio/transitionRatio count every entry as a lookup.
+  // Parity with lookup(), which counts every query as a lookup.
   PROX_OBS_COUNT_IN(obsCells, "model.dual.table_lookups", n);
   recordDispatchPath();
 

@@ -79,6 +79,7 @@ void ProximityComposition::start(std::span<const InputEvent> events,
   res_.processedPins.assign(1, y1_.pin);
   res_.transitionOnlyPins.clear();
   res_.correctionApplied = 0.0;
+  res_.maxClampDistance = 0.0;
 }
 
 void ProximityComposition::finish(const StepCorrection& correction) {
@@ -116,6 +117,44 @@ bool ProximityComposition::reordered() const {
                          });
 }
 
+void ProximityCounts::started(const ProximityComposition& c) {
+#if PROX_ENABLE_STATS
+  if (obs::enabled() && c.reordered()) reorders += 1;
+#else
+  (void)c;
+#endif
+}
+
+void ProximityCounts::finished(const ProximityComposition& c) {
+  windowExits += c.windowExits();
+  windowSkipped += c.windowSkipped();
+  const ProximityResult& r = c.result();
+  if (r.correctionApplied != 0.0) {
+    corrections += 1;
+    // Magnitude of the corrective term, recorded as a real-valued sample
+    // (seconds): mean/min/max show how hard the repair works in practice.
+    PROX_OBS_RECORD("model.proximity.correction_magnitude_s",
+                    std::fabs(r.correctionApplied));
+  }
+  processed += r.processedPins.size();
+  transitionOnly += r.transitionOnlyPins.size();
+}
+
+void ProximityCounts::flush() const {
+  PROX_OBS_BATCH(obsCells);
+  PROX_OBS_COUNT_IN(obsCells, "model.proximity.computes", computes);
+  PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_seen", inputsSeen);
+  PROX_OBS_COUNT_IN(obsCells, "model.proximity.dominance_reorders", reorders);
+  PROX_OBS_COUNT_IN(obsCells, "model.proximity.window_exits", windowExits);
+  PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_window_skipped",
+                    windowSkipped);
+  PROX_OBS_COUNT_IN(obsCells, "model.proximity.corrections_applied",
+                    corrections);
+  PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_processed", processed);
+  PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_transition_only",
+                    transitionOnly);
+}
+
 ProximityCalculator::ProximityCalculator(const Gate& gate,
                                          const SingleInputModelSet& singles,
                                          const DualInputModel& dual,
@@ -129,46 +168,27 @@ ProximityCalculator::ProximityCalculator(const Gate& gate,
 
 ProximityResult ProximityCalculator::compute(
     const std::vector<InputEvent>& events) const {
-  // This is the library's hottest scalar entry point (sub-microsecond per
-  // call), so all instrument sites share one batched cell fetch.
-  PROX_OBS_BATCH(obsCells);
-  PROX_OBS_COUNT_IN(obsCells, "model.proximity.computes", 1);
-  PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_seen", events.size());
-
+  ProximityCounts counts;
+  counts.computes = 1;
+  counts.inputsSeen = events.size();
   ProximityComposition c;
-  c.start(events, gate_, singles_, options_);
-#if PROX_ENABLE_STATS
-  if (obsCells != nullptr && c.reordered()) {
-    PROX_OBS_COUNT_IN(obsCells, "model.proximity.dominance_reorders", 1);
+  try {
+    c.start(events, gate_, singles_, options_);
+    counts.started(c);
+    ProximityComposition::Step step;
+    while (c.next(step)) {
+      const DualResult t = dual_.lookup(step.transition);
+      c.fold(t, step.inDelayWindow ? dual_.lookup(step.delay) : DualResult{});
+    }
+    c.finish(correction_);
+  } catch (...) {
+    // A call that throws still counts as a compute on its inputs (and, once
+    // start() returned, its reorder).
+    counts.flush();
+    throw;
   }
-#endif
-  ProximityComposition::Step step;
-  while (c.next(step)) {
-    const double tRatio = dual_.transitionRatio(step.transition);
-    c.fold(tRatio, step.inDelayWindow ? dual_.delayRatio(step.delay) : 0.0);
-  }
-  c.finish(correction_);
-
-  const ProximityResult& res = c.result();
-  if (c.windowExits() != 0) {
-    PROX_OBS_COUNT_IN(obsCells, "model.proximity.window_exits",
-                      c.windowExits());
-  }
-  if (c.windowSkipped() != 0) {
-    PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_window_skipped",
-                      c.windowSkipped());
-  }
-  if (res.correctionApplied != 0.0) {
-    PROX_OBS_COUNT_IN(obsCells, "model.proximity.corrections_applied", 1);
-    // Magnitude of the corrective term, recorded as a real-valued sample
-    // (seconds): mean/min/max show how hard the repair works in practice.
-    PROX_OBS_RECORD_IN(obsCells, "model.proximity.correction_magnitude_s",
-                       std::fabs(res.correctionApplied));
-  }
-  PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_processed",
-                    res.processedPins.size());
-  PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_transition_only",
-                    res.transitionOnlyPins.size());
+  counts.finished(c);
+  counts.flush();
   return c.release();
 }
 

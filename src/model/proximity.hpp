@@ -21,6 +21,8 @@
 //      characterized simultaneous-step error) for s_{y1,ym} <= 0, decaying
 //      linearly to zero at s_{y1,ym} = Delta^{(m-1)}.
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
@@ -82,6 +84,9 @@ struct ProximityResult {
   /// Pins that only influenced the transition time.
   std::vector<int> transitionOnlyPins;
   double correctionApplied = 0.0;  ///< signed corrective delay term [s]
+  /// Worst clamp distance of the dual-input lookups folded in (0 when every
+  /// one was in-grid); STA degrades an arc past its trust distance.
+  double maxClampDistance = 0.0;
 };
 
 /// Algorithm ProximityDelay for one same-direction event set, in resumable
@@ -95,8 +100,8 @@ struct ProximityResult {
 ///   // c.result() is now the classic single-input result
 ///   ProximityComposition::Step step;
 ///   while (c.next(step)) {                    // steps 3-4
-///     const double t = dual.transitionRatio(step.transition);
-///     c.fold(t, step.inDelayWindow ? dual.delayRatio(step.delay) : 0.0);
+///     const DualResult t = dual.lookup(step.transition);
+///     c.fold(t, step.inDelayWindow ? dual.lookup(step.delay) : DualResult{});
 ///   }
 ///   c.finish(correction);                     // step 5
 ///   // c.result() is now the proximity result
@@ -129,9 +134,11 @@ class ProximityComposition {
   /// once every input is folded in or skipped.
   bool next(Step& step);
 
-  /// Folds the current step's ratios in: the transition ratio first, then
+  /// Folds the current step's answers in: the transition ratio first, then
   /// -- inside the delay window -- the delay ratio (ignored outside it).
-  void fold(double transitionRatio, double delayRatio);
+  /// The clamp distances of the answers folded in raise the result's
+  /// maxClampDistance.
+  void fold(const DualResult& transition, const DualResult& delay);
 
   /// Step 5: applies the corrective term; result() then holds the
   /// proximity result.
@@ -230,19 +237,22 @@ inline bool ProximityComposition::next(Step& step) {
   return false;
 }
 
-inline void ProximityComposition::fold(double transitionRatio,
-                                       double delayRatio) {
+inline void ProximityComposition::fold(const DualResult& transition,
+                                       const DualResult& delay) {
   // Transition ratios compose multiplicatively by default: transition-time
   // perturbations are large (a second parallel path can halve the
   // transition), where the additive form double-counts.
   if (options_.transitionComposition == TransitionComposition::Additive) {
-    tCum_ += t1_ * (transitionRatio - 1.0);
+    tCum_ += t1_ * (transition.value - 1.0);
   } else {
-    tCum_ *= transitionRatio;
+    tCum_ *= transition.value;
   }
+  res_.maxClampDistance =
+      std::max(res_.maxClampDistance, transition.clampDistance);
   if (inDelayWindow_) {
+    res_.maxClampDistance = std::max(res_.maxClampDistance, delay.clampDistance);
     dBeforeLast_ = dCum_;
-    dCum_ += d1_ * (delayRatio - 1.0);  // eq (4.5)
+    dCum_ += d1_ * (delay.value - 1.0);  // eq (4.5)
     sLast_ = sCur_;
     res_.processedPins.push_back(pinCur_);
   } else {
@@ -250,6 +260,24 @@ inline void ProximityComposition::fold(double transitionRatio,
   }
   ++idx_;
 }
+
+/// The nine model.proximity.* counters, tallied per composition and flushed
+/// once: ProximityCalculator::compute() flushes one call, the STA batch a
+/// chunk of arcs.
+struct ProximityCounts {
+  std::uint64_t computes = 0, inputsSeen = 0, reorders = 0;
+  std::uint64_t windowExits = 0, windowSkipped = 0, corrections = 0;
+  std::uint64_t processed = 0, transitionOnly = 0;
+
+  /// After start(): whether the dominance order did real work (checked only
+  /// while stats record; reordered() scans the order).
+  void started(const ProximityComposition& c);
+  /// After finish(): window exits and skips, folded and transition-only
+  /// inputs, and the corrective term (its magnitude is recorded here, one
+  /// sample per arc).
+  void finished(const ProximityComposition& c);
+  void flush() const;
+};
 
 class ProximityCalculator {
  public:

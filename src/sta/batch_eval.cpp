@@ -1,7 +1,5 @@
 #include "sta/batch_eval.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -15,36 +13,25 @@ namespace {
 
 /// Per-arc batch state: the arc's composition (Algorithm ProximityDelay,
 /// model/proximity.hpp) plus what only the batch tracks -- the event
-/// storage the composition reads, the fallback flag and the mirrors of the
-/// arc-scoped ClampStats the scalar path inspects.
+/// storage the composition reads and the fallback flag.
 struct ArcState {
   std::vector<model::InputEvent> events;
   model::ProximityComposition comp;
   bool idle = false;
   bool fallback = false;  ///< re-run through scalar evaluateGate()
-  std::uint64_t clamped = 0;
-  double maxClamp = 0.0;
 
   /// Returns the state to freshly-constructed semantics while keeping the
   /// vectors' capacity, so a reused scratch arc costs no allocations.
   void reset() {
     events.clear();
     idle = fallback = false;
-    clamped = 0;
-    maxClamp = 0.0;
-  }
-
-  /// Takes one batched answer into the clamp mirrors; false when the scalar
-  /// lookup would have thrown (TableMissing).
-  bool accept(const model::DualResult& r) {
-    if (r.status != model::DualResult::Status::Ok) return false;
-    if (r.clampDistance > 0.0) {
-      clamped += 1;
-      maxClamp = std::max(maxClamp, r.clampDistance);
-    }
-    return true;
   }
 };
+
+/// False when lookup() would have thrown (TableMissing) on the query.
+bool answered(const model::DualResult& r) {
+  return r.status == model::DualResult::Status::Ok;
+}
 
 /// One staged composition step: which arc it belongs to and whether its
 /// delay query follows its transition query in the bucket.
@@ -160,11 +147,11 @@ void composeInRounds(std::span<const BatchArc> arcs, EvalScratch& scratch) {
         ArcState& a = states[p.arc];
         const model::DualResult& t = answers[k++];
         const model::DualResult* d = p.hasDelay ? &answers[k++] : nullptr;
-        if (!a.accept(t) || (d != nullptr && !a.accept(*d))) {
+        if (!answered(t) || (d != nullptr && !answered(*d))) {
           a.fallback = true;
           continue;
         }
-        a.comp.fold(t.value, d != nullptr ? d->value : 0.0);
+        a.comp.fold(t, d != nullptr ? *d : model::DualResult{});
       }
     }
   }
@@ -176,12 +163,8 @@ void composeInRounds(std::span<const BatchArc> arcs, EvalScratch& scratch) {
 void finishArcs(std::span<const BatchArc> arcs, DelayMode mode,
                 const DelayCalcOptions& opt, std::vector<ArcState>& states,
                 std::span<BatchArcResult> results) {
-  PROX_OBS_BATCH(obsCells);
   std::uint64_t arcEvals = 0, switchingPins = 0, clampedArcs = 0;
-  [[maybe_unused]] std::uint64_t reorders = 0;
-  std::uint64_t windowExits = 0, windowSkipped = 0;
-  std::uint64_t correctionsApplied = 0, inputsProcessed = 0;
-  std::uint64_t inputsTransitionOnly = 0;
+  model::ProximityCounts counts;
 
   for (std::size_t i = 0; i < arcs.size(); ++i) {
     ArcState& a = states[i];
@@ -190,30 +173,19 @@ void finishArcs(std::span<const BatchArc> arcs, DelayMode mode,
       continue;
     }
     if (a.fallback) continue;
-    // Scalar parity: evaluateGate inspects the arc-scoped ClampStats after
-    // compute() and degrades past the trust distance.
-    if (mode == DelayMode::Proximity && a.maxClamp > opt.maxClampDistance) {
-      a.fallback = true;
-      continue;
-    }
-
     const characterize::CharacterizedGate& cell = *arcs[i].cell;
     const model::ProximityResult& r = a.comp.result();
     if (mode == DelayMode::Proximity) {
-      a.comp.finish(cell.correction);
-      if (a.clamped > 0) clampedArcs += 1;
-#if PROX_ENABLE_STATS
-      if (a.comp.reordered()) reorders += 1;
-#endif
-      windowExits += a.comp.windowExits();
-      windowSkipped += a.comp.windowSkipped();
-      if (r.correctionApplied != 0.0) {
-        correctionsApplied += 1;
-        PROX_OBS_RECORD_IN(obsCells, "model.proximity.correction_magnitude_s",
-                           std::fabs(r.correctionApplied));
+      // evaluateGate's trust check: past the distance, the scalar ladder
+      // degrades the arc.
+      if (r.maxClampDistance > opt.maxClampDistance) {
+        a.fallback = true;
+        continue;
       }
-      inputsProcessed += r.processedPins.size();
-      inputsTransitionOnly += r.transitionOnlyPins.size();
+      a.comp.finish(cell.correction);
+      if (r.maxClampDistance > 0.0) clampedArcs += 1;
+      counts.started(a.comp);
+      counts.finished(a.comp);
     }
     results[i] = {Arrival{r.outputRefTime, r.transitionTime,
                           cell.gate.spec.outputEdgeFor(a.events.front().edge)},
@@ -222,6 +194,7 @@ void finishArcs(std::span<const BatchArc> arcs, DelayMode mode,
     switchingPins += a.events.size();
   }
 
+  PROX_OBS_BATCH(obsCells);
   PROX_OBS_COUNT_IN(obsCells, "sta.delay_calc.arc_evals", arcEvals);
   PROX_OBS_COUNT_IN(obsCells, "sta.delay_calc.switching_pins", switchingPins);
   if (mode == DelayMode::Classic) {
@@ -229,22 +202,9 @@ void finishArcs(std::span<const BatchArc> arcs, DelayMode mode,
     return;
   }
   PROX_OBS_COUNT_IN(obsCells, "sta.delay_calc.clamped_arcs", clampedArcs);
-  PROX_OBS_COUNT_IN(obsCells, "model.proximity.computes", arcEvals);
-  PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_seen", switchingPins);
-#if PROX_ENABLE_STATS
-  if (obsCells != nullptr) {
-    PROX_OBS_COUNT_IN(obsCells, "model.proximity.dominance_reorders", reorders);
-  }
-#endif
-  PROX_OBS_COUNT_IN(obsCells, "model.proximity.window_exits", windowExits);
-  PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_window_skipped",
-                    windowSkipped);
-  PROX_OBS_COUNT_IN(obsCells, "model.proximity.corrections_applied",
-                    correctionsApplied);
-  PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_processed",
-                    inputsProcessed);
-  PROX_OBS_COUNT_IN(obsCells, "model.proximity.inputs_transition_only",
-                    inputsTransitionOnly);
+  counts.computes = arcEvals;
+  counts.inputsSeen = switchingPins;
+  counts.flush();
 }
 
 }  // namespace

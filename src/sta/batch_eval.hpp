@@ -23,9 +23,10 @@
 //
 // Equivalence with evaluateGate(): for every arc the produced Arrival and
 // ArcQuality equal evaluateGate()'s exactly, and so do the counters.  Both
-// paths run one composition, and evaluateMany() is bit-identical to the
-// scalar lookups, so what is left to hold equal is the batch work itself:
-// the clamp mirrors, the trust check and the counter flushes.  Any anomaly
+// paths run one composition, which also records the arc's worst clamp
+// distance, and one model::ProximityCounts tally, and evaluateMany() is
+// bit-identical to lookup(), so what is left to hold equal is the batch
+// work itself: event gathering and the trust check.  Any anomaly
 // -- pin-count mismatch, mixed directions, missing models, out-of-trust
 // clamps, any exception -- re-runs that arc through scalar evaluateGate(),
 // which reproduces the scalar path's diagnostics, degradation ladder and

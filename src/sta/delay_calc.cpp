@@ -48,15 +48,11 @@ std::optional<Arrival> evaluateGate(const characterize::CharacterizedGate& cell,
 
   if (mode == DelayMode::Proximity) {
     try {
-      // ClampStats are arc-scoped scratch: reset, compute, inspect.  Global
-      // clamp accounting lives in the model.dual.clamped_lookups counter.
-      cell.dual->resetClampStats();
       r = calc.compute(events);
-      const auto& cs = cell.dual->clampStats();
-      if (cs.clamped > 0) {
+      if (r.maxClampDistance > 0.0) {
         PROX_OBS_COUNT("sta.delay_calc.clamped_arcs", 1);
       }
-      if (cs.maxDistance > opt.maxClampDistance) {
+      if (r.maxClampDistance > opt.maxClampDistance) {
         throw support::DiagnosticError(
             support::makeDiagnostic(
                 support::StatusCode::TableOutOfRange,

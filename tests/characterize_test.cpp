@@ -103,8 +103,9 @@ TEST(Serialize, RoundTripPreservesQueries) {
   q.tauRef = 300e-12;
   q.tauOther = 200e-12;
   q.sep = 40e-12;
-  EXPECT_DOUBLE_EQ(loaded.dual->delayRatio(q), cg.dual->delayRatio(q));
-  EXPECT_DOUBLE_EQ(loaded.dual->transitionRatio(q), cg.dual->transitionRatio(q));
+  EXPECT_DOUBLE_EQ(loaded.dual->lookup(q).value, cg.dual->lookup(q).value);
+  q.kind = model::DualKind::Transition;
+  EXPECT_DOUBLE_EQ(loaded.dual->lookup(q).value, cg.dual->lookup(q).value);
 
   std::vector<model::InputEvent> evs{{0, Edge::Rising, 0.0, 300e-12},
                                      {1, Edge::Rising, 50e-12, 200e-12}};

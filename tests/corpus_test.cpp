@@ -3,7 +3,7 @@
 // successfully or throws support::DiagnosticError.  Anything else -- a
 // foreign exception type, a crash, a sanitizer report (this test runs in
 // the ASan/UBSan CI job) -- is a contract violation.  Known-good seeds
-// (valid.journal, minimal_v1/v3.prox, report_v2.json, nand3.sp, valid.argv)
+// (valid.journal, minimal_v3.prox, report_v2.json, nand3.sp, valid.argv)
 // must load; known-bad seeds must be rejected with the expected typed code.
 
 #include <algorithm>
@@ -95,12 +95,34 @@ TEST(CorpusTest, ProxSeedsHonorContract) {
     std::istringstream is(bytes);
     prox::characterize::loadGateModel(is);
   });
-  EXPECT_TRUE(contains(accepted, "minimal_v1.prox"));
   EXPECT_TRUE(contains(accepted, "minimal_v3.prox"));
-  EXPECT_FALSE(contains(accepted, "bitflip_v3.prox"));  // CRC must catch it
-  EXPECT_FALSE(contains(accepted, "huge_row_count.prox"));
-  EXPECT_FALSE(contains(accepted, "huge_fanin.prox"));
   EXPECT_FALSE(contains(accepted, "overlong_token.prox"));
+  // Each rejection seed carries a current header, so it is refused for the
+  // defect it targets, not at line 1.
+  const struct {
+    const char* seed;
+    const char* reason;
+    int line;
+  } kRejected[] = {
+      {"bitflip_v3.prox", "crc32 mismatch", 21},
+      {"huge_fanin.prox", "gate fanin 4000 outside [1, 64]", 2},
+      {"huge_row_count.prox",
+       "count 999999999 in single table rows exceeds ceiling 4194304", 9},
+      {"truncated.prox", "unexpected end of file reading single table row", 10},
+      {"minimal_v1.prox", "bad header", 1},  // unchecksummed legacy version
+  };
+  for (const auto& r : kRejected) {
+    EXPECT_FALSE(contains(accepted, r.seed)) << r.seed;
+    std::istringstream is(
+        readAll(fs::path(PROX_CORPUS_DIR) / "prox" / r.seed));
+    try {
+      prox::characterize::loadGateModel(is);
+    } catch (const DiagnosticError& e) {
+      EXPECT_NE(e.diagnostic().message.find(r.reason), std::string::npos)
+          << r.seed << ": " << e.diagnostic().message;
+      EXPECT_EQ(e.diagnostic().line, r.line) << r.seed;
+    }
+  }
 }
 
 TEST(CorpusTest, JournalSeedsHonorContract) {

@@ -416,13 +416,13 @@ TEST(LargeStaDeterminism, BlifRoundTripMatchesDirectBuild) {
             kLargeProximityChecksum);
 }
 
-// --- batched dual-table lookups vs the scalar entry points ------------------
+// --- batched dual-table lookups vs lookup() ---------------------------------
 //
-// Property: evaluateMany() must be bit-identical to N scalar delayRatio()/
-// transitionRatio() calls -- values AND clamp distances -- for arbitrary
-// query mixes (in-grid, clamped, window shortcuts, missing tables), on every
-// SIMD dispatch path.  Queries the scalar path answers with a throw must
-// come back as Status::MissingTable.
+// Property: evaluateMany() must be bit-identical to N scalar lookup() calls
+// -- values, statuses AND clamp distances -- for arbitrary query mixes
+// (in-grid, clamped, window shortcuts, missing tables), on every SIMD
+// dispatch path.  Queries lookup() answers with a throw must come back as
+// Status::MissingTable.
 
 /// Deterministic 64-bit generator (splitmix64): no std random machinery, so
 /// the query set is identical on every platform and run.
@@ -509,14 +509,12 @@ void expectBatchMatchesScalar(const BatchedFixture& fx,
                               const std::vector<model::DualQuery>& qs) {
   std::vector<model::DualResult> batch(qs.size());
   fx.model->evaluateMany(qs, batch);
-  std::size_t missing = 0;
+  std::size_t missing = 0, clamped = 0;
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    double scalar = 0.0;
+    model::DualResult scalar;
     bool threw = false;
     try {
-      scalar = qs[i].kind == model::DualKind::Delay
-                   ? fx.model->delayRatio(qs[i])
-                   : fx.model->transitionRatio(qs[i]);
+      scalar = fx.model->lookup(qs[i]);
     } catch (const std::exception&) {
       threw = true;
     }
@@ -526,15 +524,17 @@ void expectBatchMatchesScalar(const BatchedFixture& fx,
           << "lane " << i;
       continue;
     }
-    ASSERT_EQ(batch[i].status, model::DualResult::Status::Ok) << "lane " << i;
+    ASSERT_EQ(batch[i].status, scalar.status) << "lane " << i;
     // Exact `==` on doubles, deliberately: the batched path promises the
     // same bits, not "close".
-    EXPECT_EQ(batch[i].value, scalar) << "lane " << i;
-    EXPECT_EQ(batch[i].clampDistance, fx.model->lastClampDistance())
-        << "lane " << i;
+    EXPECT_EQ(batch[i].value, scalar.value) << "lane " << i;
+    EXPECT_EQ(batch[i].clampDistance, scalar.clampDistance) << "lane " << i;
+    if (scalar.clampDistance > 0.0) ++clamped;
   }
-  // The query mix must actually exercise the missing-table lane.
+  // The query mix must actually exercise the missing-table and clamped
+  // lanes.
   EXPECT_GT(missing, 0u);
+  EXPECT_GT(clamped, 0u);
 }
 
 TEST(BatchedDualDeterminism, EvaluateManyMatchesScalarBitForBit) {
@@ -594,11 +594,10 @@ TEST(BatchedDualDeterminism, EvaluateManyHandlesEdgeLanes) {
   std::vector<model::DualResult> batch(qs.size());
   fx.model->evaluateMany(qs, batch);
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    const double scalar = fx.model->delayRatio(qs[i]);
+    const model::DualResult scalar = fx.model->lookup(qs[i]);
     EXPECT_EQ(batch[i].status, model::DualResult::Status::Ok) << "lane " << i;
-    EXPECT_EQ(batch[i].value, scalar) << "lane " << i;
-    EXPECT_EQ(batch[i].clampDistance, fx.model->lastClampDistance())
-        << "lane " << i;
+    EXPECT_EQ(batch[i].value, scalar.value) << "lane " << i;
+    EXPECT_EQ(batch[i].clampDistance, scalar.clampDistance) << "lane " << i;
   }
 }
 

@@ -269,9 +269,9 @@ TEST(FaultInjectionCharacterize, HealsInjectedPointFailure) {
         q.tauRef = tauRef;
         q.tauOther = std::clamp(t.v[iv] * norm, 1e-12, 50e-9);
         q.sep = t.w[iw] * norm;
+        q.kind = inDelay ? model::DualKind::Delay : model::DualKind::Transition;
         model::OracleDualInputModel oracle(sim, singles);
-        const double expected =
-            inDelay ? oracle.delayRatio(q) : oracle.transitionRatio(q);
+        const double expected = oracle.lookup(q).value;
         EXPECT_NEAR(t.at(iu, iv, iw), expected, 0.1 * std::fabs(expected));
       }
     }
@@ -412,7 +412,7 @@ TEST(StaDegraded, DistrustedClampDegradesArc) {
   EXPECT_TRUE(strict.arrival("y").has_value());
 }
 
-TEST(DualModel, MissingTableThrowsTypedAndClampStatsTrack) {
+TEST(DualModel, MissingTableThrowsTypedAndClampDistanceIsReturned) {
   model::DualQuery q;
   q.refPin = 0;
   q.otherPin = 1;
@@ -423,7 +423,7 @@ TEST(DualModel, MissingTableThrowsTypedAndClampStatsTrack) {
 
   const auto missing = counterValue("model.dual.missing_tables");
   try {
-    cellWithoutDuals().dual->delayRatio(q);
+    cellWithoutDuals().dual->lookup(q);
     FAIL() << "expected missing-table failure";
   } catch (const DiagnosticError& e) {
     EXPECT_EQ(e.code(), StatusCode::TableMissing);
@@ -432,14 +432,12 @@ TEST(DualModel, MissingTableThrowsTypedAndClampStatsTrack) {
   EXPECT_EQ(counterValue("model.dual.missing_tables") - missing, 1u);
 
   const auto& far = cellWithFarTables();
-  far.dual->resetClampStats();
+  const auto lookups = counterValue("model.dual.table_lookups");
   const auto clamps = counterValue("model.dual.clamped_lookups");
-  const double r = far.dual->delayRatio(q);
-  EXPECT_TRUE(std::isfinite(r));
-  EXPECT_GT(far.dual->lastClampDistance(), 0.5);
-  EXPECT_EQ(far.dual->clampStats().lookups, 1u);
-  EXPECT_EQ(far.dual->clampStats().clamped, 1u);
-  EXPECT_GT(far.dual->clampStats().maxDistance, 0.5);
+  const model::DualResult r = far.dual->lookup(q);
+  EXPECT_TRUE(std::isfinite(r.value));
+  EXPECT_GT(r.clampDistance, 0.5);
+  EXPECT_EQ(counterValue("model.dual.table_lookups") - lookups, 1u);
   EXPECT_EQ(counterValue("model.dual.clamped_lookups") - clamps, 1u);
 }
 

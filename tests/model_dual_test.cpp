@@ -13,8 +13,9 @@ using model::DualQuery;
 using wave::Edge;
 
 DualQuery query(int ref, int other, Edge e, double tauRef, double tauOther,
-                double sep) {
+                double sep, model::DualKind kind = model::DualKind::Delay) {
   DualQuery q;
+  q.kind = kind;
   q.refPin = ref;
   q.otherPin = other;
   q.edge = e;
@@ -30,8 +31,8 @@ TEST(OracleDual, FallingPairSpeedsOutputUp) {
   const auto& cg = testutil::nand2Model();
   model::GateSimulator sim(cg.gate);
   model::OracleDualInputModel oracle(sim, *cg.singles);
-  const double r = oracle.delayRatio(
-      query(0, 1, Edge::Falling, 500e-12, 100e-12, 0.0));
+  const double r = oracle.lookup(
+      query(0, 1, Edge::Falling, 500e-12, 100e-12, 0.0)).value;
   EXPECT_LT(r, 0.98);
   EXPECT_GT(r, 0.2);
 }
@@ -42,8 +43,8 @@ TEST(OracleDual, RisingPairSlowsOutputDown) {
   const auto& cg = testutil::nand2Model();
   model::GateSimulator sim(cg.gate);
   model::OracleDualInputModel oracle(sim, *cg.singles);
-  const double r = oracle.delayRatio(
-      query(0, 1, Edge::Rising, 500e-12, 500e-12, 0.0));
+  const double r = oracle.lookup(
+      query(0, 1, Edge::Rising, 500e-12, 500e-12, 0.0)).value;
   EXPECT_GT(r, 1.02);
 }
 
@@ -53,8 +54,8 @@ TEST(OracleDual, RatioApproachesOneOutsideWindow) {
   model::OracleDualInputModel oracle(sim, *cg.singles);
   const double d1 = cg.singles->at(0, Edge::Falling).delay(500e-12);
   // Separation well beyond Delta^(1): the other input is blocked.
-  const double r = oracle.delayRatio(
-      query(0, 1, Edge::Falling, 500e-12, 100e-12, d1 + 2e-9));
+  const double r = oracle.lookup(
+      query(0, 1, Edge::Falling, 500e-12, 100e-12, d1 + 2e-9)).value;
   EXPECT_NEAR(r, 1.0, 0.03);
 }
 
@@ -63,9 +64,9 @@ TEST(OracleDual, CachingReturnsIdenticalValues) {
   model::GateSimulator sim(cg.gate);
   model::OracleDualInputModel oracle(sim, *cg.singles);
   const DualQuery q = query(0, 1, Edge::Falling, 300e-12, 300e-12, 50e-12);
-  const double r1 = oracle.delayRatio(q);
+  const double r1 = oracle.lookup(q).value;
   const long simsAfterFirst = sim.simulationCount();
-  const double r2 = oracle.delayRatio(q);
+  const double r2 = oracle.lookup(q).value;
   EXPECT_EQ(r1, r2);
   EXPECT_EQ(sim.simulationCount(), simsAfterFirst);  // cache hit, no new sim
 }
@@ -115,26 +116,25 @@ TEST(TabulatedDual, AgreesWithOracleInsideGrid) {
   model::OracleDualInputModel oracle(sim, *cg.singles);
   // A query near the middle of the characterized region.
   const DualQuery q = query(0, 1, Edge::Falling, 400e-12, 300e-12, 60e-12);
-  const double rOracle = oracle.delayRatio(q);
-  const double rTable = cg.dual->delayRatio(q);
+  const double rOracle = oracle.lookup(q).value;
+  const double rTable = cg.dual->lookup(q).value;
   EXPECT_NEAR(rTable, rOracle, 0.12);  // fast-config grid tolerance
 }
 
 TEST(TabulatedDual, ReturnsOneBeyondDelayWindow) {
   const auto& cg = testutil::nand2Model();
   const double d1 = cg.singles->at(0, Edge::Rising).delay(200e-12);
-  EXPECT_DOUBLE_EQ(
-      cg.dual->delayRatio(query(0, 1, Edge::Rising, 200e-12, 200e-12, d1 * 1.01)),
-      1.0);
+  const DualQuery q = query(0, 1, Edge::Rising, 200e-12, 200e-12, d1 * 1.01);
+  EXPECT_DOUBLE_EQ(cg.dual->lookup(q).value, 1.0);
 }
 
 TEST(TabulatedDual, ReturnsOneBeyondTransitionWindow) {
   const auto& cg = testutil::nand2Model();
   const auto& m = cg.singles->at(0, Edge::Rising);
   const double edge = m.delay(200e-12) + m.transition(200e-12);
-  EXPECT_DOUBLE_EQ(cg.dual->transitionRatio(
-                       query(0, 1, Edge::Rising, 200e-12, 200e-12, edge * 1.01)),
-                   1.0);
+  const DualQuery q = query(0, 1, Edge::Rising, 200e-12, 200e-12, edge * 1.01,
+                            model::DualKind::Transition);
+  EXPECT_DOUBLE_EQ(cg.dual->lookup(q).value, 1.0);
 }
 
 TEST(TabulatedDual, HasTablesForEveryPinAndEdge) {
@@ -152,9 +152,9 @@ TEST(TabulatedDual, DelayRatioDirectionalPhysics) {
   // Table-based model preserves the Figure 1-2 signs at zero separation.
   const auto& cg = testutil::nand2Model();
   const double rFall =
-      cg.dual->delayRatio(query(0, 1, Edge::Falling, 500e-12, 100e-12, 0.0));
+      cg.dual->lookup(query(0, 1, Edge::Falling, 500e-12, 100e-12, 0.0)).value;
   const double rRise =
-      cg.dual->delayRatio(query(0, 1, Edge::Rising, 500e-12, 500e-12, 0.0));
+      cg.dual->lookup(query(0, 1, Edge::Rising, 500e-12, 500e-12, 0.0)).value;
   EXPECT_LT(rFall, 1.0);
   EXPECT_GT(rRise, 1.0);
 }

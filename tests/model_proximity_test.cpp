@@ -460,7 +460,27 @@ void expectSameResult(const model::ProximityResult& got,
   EXPECT_EQ(got.transitionOnlyPins, want.transitionOnlyPins);
   EXPECT_TRUE(sameBits(got.correctionApplied, want.correctionApplied))
       << got.correctionApplied << " vs " << want.correctionApplied;
+  EXPECT_TRUE(sameBits(got.maxClampDistance, want.maxClampDistance))
+      << got.maxClampDistance << " vs " << want.maxClampDistance;
 }
+
+/// Forwards every lookup to @p inner and keeps the worst clamp distance it
+/// answered -- what the composition's maxClampDistance must equal when the
+/// reference runs through it.
+class RecordingDual : public model::DualInputModel {
+ public:
+  explicit RecordingDual(const model::DualInputModel& inner) : inner_(inner) {}
+  model::DualResult lookup(const model::DualQuery& q) const override {
+    const model::DualResult r = inner_.lookup(q);
+    worst_ = std::max(worst_, r.clampDistance);
+    return r;
+  }
+  double worst() const { return worst_; }
+
+ private:
+  const model::DualInputModel& inner_;
+  mutable double worst_ = 0.0;
+};
 
 /// What a sweep exercised, so it can prove it reached every branch.
 struct Coverage {
@@ -468,10 +488,12 @@ struct Coverage {
   int transitionOnly = 0;  ///< an input only perturbed the transition
   int leftOut = 0;         ///< an input fell outside both windows
   int corrected = 0;       ///< a non-zero corrective term
+  int clamped = 0;         ///< a lookup fell outside its table grid
 };
 
 /// Holds compute() and computeClassic() to the reference on @p evs under
-/// all 16 ProximityOptions combinations, counters included.
+/// all 16 ProximityOptions combinations, counters included; compute()'s
+/// maxClampDistance to the worst clamp the reference's lookups saw.
 void expectMatchesReference(const model::Gate& gate,
                             const model::SingleInputModelSet& singles,
                             const model::DualInputModel& dual,
@@ -488,15 +510,18 @@ void expectMatchesReference(const model::Gate& gate,
                         : model::TransitionComposition::Multiplicative;
     o.orderByDominance = (mask & 8) == 0;
     const model::ProximityCalculator calc(gate, singles, dual, correction, o);
-    const auto want = withDeltas([&] {
-      return testutil::referenceCompute(gate, singles, dual, correction, o,
-                                        evs);
+    const RecordingDual recording(dual);
+    auto want = withDeltas([&] {
+      return testutil::referenceCompute(gate, singles, recording, correction,
+                                        o, evs);
     });
+    want.first.maxClampDistance = recording.worst();
     const auto got = withDeltas([&] { return calc.compute(evs); });
     expectSameResult(got.first, want.first);
     EXPECT_EQ(got.second, want.second);
 
     const model::ProximityResult& r = got.first;
+    if (r.maxClampDistance > 0.0) ++seen.clamped;
     if (r.processedPins.size() >= 3) ++seen.multiFold;
     if (!r.transitionOnlyPins.empty()) ++seen.transitionOnly;
     if (r.processedPins.size() + r.transitionOnlyPins.size() < evs.size()) {
@@ -604,6 +629,7 @@ TEST(ProximityComposition, MatchesReferenceOnAnalyticGatesOfOneToEightInputs) {
   EXPECT_GT(seen.transitionOnly, 0);
   EXPECT_GT(seen.leftOut, 0);
   EXPECT_GT(seen.corrected, 0);
+  EXPECT_GT(seen.clamped, 0);
 }
 
 TEST(ProximityComposition, MatchesReferenceOnCharacterizedGates) {
@@ -619,6 +645,7 @@ TEST(ProximityComposition, MatchesReferenceOnCharacterizedGates) {
   EXPECT_GT(seen.transitionOnly, 0);
   EXPECT_GT(seen.leftOut, 0);
   EXPECT_GT(seen.corrected, 0);
+  EXPECT_GT(seen.clamped, 0);
 }
 
 TEST(ProximityComposition, MatchesReferenceThroughTheOracleModel) {
@@ -636,6 +663,36 @@ TEST(ProximityComposition, MatchesReferenceThroughTheOracleModel) {
     expectMatchesReference(cg.gate, *cg.singles, oracle, cg.correction, evs,
                            seen);
   }
+}
+
+TEST(ProximityComposition, CountsACallThatThrowsLikeTheReference) {
+  // No dual tables, so the first lookup throws TableMissing.  The call still
+  // counts as a compute on its inputs, with its dominance reorder (the slow
+  // early input ranks behind the fast late one), and nothing after it.
+  const auto cg = characterize::analyticGate(testutil::nandSpec(3));
+  const model::TabulatedDualInputModel noTables(*cg.singles);
+  const model::ProximityCalculator calc(cg.gate, *cg.singles, noTables,
+                                        cg.correction);
+  const std::vector<InputEvent> evs{{0, Edge::Falling, 0.0, 2e-9},
+                                    {1, Edge::Falling, 20e-12, 50e-12},
+                                    {2, Edge::Falling, 40e-12, 50e-12}};
+  const auto deltasOfThrowingCall = [](auto&& fn) {
+    const auto before = proximityCounters();
+    EXPECT_THROW(fn(), support::DiagnosticError);
+    auto deltas = proximityCounters();
+    for (std::size_t i = 0; i < deltas.size(); ++i) deltas[i] -= before[i];
+    return deltas;
+  };
+  const auto want = deltasOfThrowingCall([&] {
+    testutil::referenceCompute(cg.gate, *cg.singles, noTables, cg.correction,
+                               {}, evs);
+  });
+  const auto got = deltasOfThrowingCall([&] { calc.compute(evs); });
+  EXPECT_EQ(got, want);
+#if PROX_ENABLE_STATS
+  // computes, classic_computes, inputs_seen, dominance_reorders, then none.
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 0, 3, 1, 0, 0, 0, 0, 0}));
+#endif
 }
 
 TEST(StepCorrection, LookupSaturatesAtTableEnd) {

@@ -105,7 +105,8 @@ inline model::ProximityResult referenceCompute(
     const auto foldTransition = [&] {
       DualQuery qt = q;
       qt.sep = s + (d1 + t1) - (dCum + tCum);
-      const double tRatio = dual.transitionRatio(qt);
+      qt.kind = model::DualKind::Transition;
+      const double tRatio = dual.lookup(qt).value;
       if (options.transitionComposition ==
           model::TransitionComposition::Additive) {
         tCum += t1 * (tRatio - 1.0);
@@ -117,7 +118,7 @@ inline model::ProximityResult referenceCompute(
     if (s < dCum) {
       q.sep = s + d1 - dCum;
       foldTransition();
-      const double ratio = dual.delayRatio(q);
+      const double ratio = dual.lookup(q).value;
       dBeforeLast = dCum;
       dCum += d1 * (ratio - 1.0);
       sLast = s;

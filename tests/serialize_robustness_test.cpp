@@ -141,16 +141,30 @@ std::string legacyText(const char* version) {
   return text.erase(pos);
 }
 
-TEST(SerializeRobustness, VersionOneFilesStillLoad) {
-  std::istringstream is(legacyText("1"));
-  const auto g = characterize::loadGateModel(is);
-  EXPECT_EQ(g.dual->delayTable(0, Edge::Falling).ratio, syntheticTable().ratio);
+// Versions 1 and 2 carried no checksum; only version 3 loads.
+TEST(SerializeRobustness, VersionOneFilesAreRejected) {
+  const auto d = loadExpectingParseError(legacyText("1"));
+  EXPECT_NE(d.message.find("bad header"), std::string::npos);
+  EXPECT_EQ(d.line, 1);
 }
 
-TEST(SerializeRobustness, VersionTwoFilesWithoutChecksumStillLoad) {
-  std::istringstream is(legacyText("2"));
-  const auto g = characterize::loadGateModel(is);
-  EXPECT_EQ(g.dual->delayTable(0, Edge::Rising).ratio, syntheticTable().ratio);
+TEST(SerializeRobustness, VersionTwoFilesAreRejected) {
+  const auto d = loadExpectingParseError(legacyText("2"));
+  EXPECT_NE(d.message.find("bad header"), std::string::npos);
+  EXPECT_EQ(d.line, 1);
+}
+
+TEST(SerializeRobustness, FlippedVersionDigitCannotSkipTheChecksum) {
+  // A corrupted table entry plus a one-bit flip of the version digit
+  // ('3' 0x33 -> '2' 0x32) must still be refused, not loaded unchecked.
+  std::string text = replaced("0.625", "0.635");
+  const auto pos = text.find("proxdelay-model 3");
+  ASSERT_EQ(pos, 0u);
+  text[pos + std::string("proxdelay-model ").size()] ^= 0x01;
+  ASSERT_EQ(text.compare(0, 17, "proxdelay-model 2"), 0);
+  const auto d = loadExpectingParseError(text);
+  EXPECT_NE(d.message.find("bad header"), std::string::npos);
+  EXPECT_EQ(d.line, 1);
 }
 
 TEST(SerializeRobustness, UnknownVersionIsRejectedOnLineOne) {
