@@ -296,7 +296,8 @@ class ProximityCalculator {
   /// Classic single-input-switching calculation for the same events: the
   /// dominant input's Delta^(1)/tau^(1) with proximity ignored (always
   /// ranked by dominance).  Throws like compute().  Used by the ablation and
-  /// STA-comparison benches and the STA's degradation ladder.
+  /// STA-comparison benches; the STA reads the same result from its batch's
+  /// composition start (sta/batch_eval.hpp).
   ProximityResult computeClassic(const std::vector<InputEvent>& events) const;
 
  private:

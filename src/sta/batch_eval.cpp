@@ -1,11 +1,13 @@
 #include "sta/batch_eval.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "model/proximity.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
 
 namespace prox::sta {
 
@@ -13,18 +15,23 @@ namespace {
 
 /// Per-arc batch state: the arc's composition (Algorithm ProximityDelay,
 /// model/proximity.hpp) plus what only the batch tracks -- the event
-/// storage the composition reads and the fallback flag.
+/// storage the composition reads, the classic result the ladder falls back
+/// to and the rung the arc has reached.
 struct ArcState {
   std::vector<model::InputEvent> events;
   model::ProximityComposition comp;
+  /// The composition's start: computeClassic()'s outputRefTime and
+  /// transitionTime.
+  double classicTime = 0.0, classicSlope = 0.0;
   bool idle = false;
-  bool fallback = false;  ///< re-run through scalar evaluateGate()
+  ArcQuality quality = ArcQuality::Full;
 
   /// Returns the state to freshly-constructed semantics while keeping the
   /// vectors' capacity, so a reused scratch arc costs no allocations.
   void reset() {
     events.clear();
-    idle = fallback = false;
+    idle = false;
+    quality = ArcQuality::Full;
   }
 };
 
@@ -64,19 +71,22 @@ EvalScratch& evalScratch() {
 }
 
 /// Arc setup shared by both modes: the switching events and the
-/// composition's start (anomaly screen, dominance order, the dominant
-/// input's Delta^(1)/tau^(1)).  An arc the batch cannot finish is marked for
-/// the scalar fallback; idle arcs are counted here exactly as evaluateGate()
-/// counts them.
+/// composition's start (dominance order, the dominant input's
+/// Delta^(1)/tau^(1)), which is also the classic result.  Caller bugs throw;
+/// an arc whose start fails (a missing single-input model) drops to the
+/// slew estimate.
 void setUpArc(const BatchArc& arc, ArcState& a) {
   const characterize::CharacterizedGate& cell = *arc.cell;
   const std::vector<std::optional<Arrival>>& pins = *arc.pins;
   if (static_cast<int>(pins.size()) != cell.pinCount()) {
-    a.fallback = true;  // scalar throws invalid_argument (caller bug)
-    return;
+    throw std::invalid_argument("evaluateGate: pin count mismatch");
   }
   for (std::size_t p = 0; p < pins.size(); ++p) {
     if (!pins[p]) continue;
+    if (!a.events.empty() && pins[p]->edge != a.events.front().edge) {
+      throw std::invalid_argument(
+          "evaluateGate: mixed input directions on one gate");
+    }
     a.events.push_back(
         {static_cast<int>(p), pins[p]->edge, pins[p]->time, pins[p]->slope});
   }
@@ -86,21 +96,23 @@ void setUpArc(const BatchArc& arc, ArcState& a) {
     return;
   }
   try {
-    // The batch runs the default ProximityOptions -- what the scalar path's
-    // cell.calculator() constructs; computeClassic() ranks by dominance too.
+    // Default ProximityOptions: what cell.calculator() constructs, and
+    // computeClassic() ranks by dominance too.
     a.comp.start(a.events, cell.gate, *cell.singles, model::ProximityOptions{});
-  } catch (...) {
-    // Mixed directions (a caller bug), a missing single-input model: the
-    // scalar path throws or degrades identically.
-    a.fallback = true;
+  } catch (const std::exception&) {
+    a.quality = ArcQuality::SlewEstimate;
+    return;
   }
+  a.classicTime = a.comp.result().outputRefTime;
+  a.classicSlope = a.comp.result().transitionTime;
 }
 
 /// Proximity mode's lockstep rounds: per round each unfinished arc's
 /// composition advances to its next step (window skips are free) and stages
 /// the step's transition query and -- inside the delay window -- its delay
 /// query.  Queries are grouped by dual-table model, answered with one
-/// evaluateMany() per model and folded back in.
+/// evaluateMany() per model and folded back in.  An arc with an unanswered
+/// query (a missing table) stops composing and drops to its classic result.
 void composeInRounds(std::span<const BatchArc> arcs, EvalScratch& scratch) {
   std::vector<ArcState>& states = scratch.states;
   std::vector<const model::TabulatedDualInputModel*>& models = scratch.models;
@@ -119,7 +131,9 @@ void composeInRounds(std::span<const BatchArc> arcs, EvalScratch& scratch) {
     bool any = false;
     for (std::size_t i = 0; i < arcs.size(); ++i) {
       ArcState& a = states[i];
-      if (a.idle || a.fallback || !a.comp.next(step)) continue;
+      if (a.idle || a.quality != ArcQuality::Full || !a.comp.next(step)) {
+        continue;
+      }
       const model::TabulatedDualInputModel* dual = arcs[i].cell->dual.get();
       std::size_t b = 0;
       for (; b < models.size(); ++b) {
@@ -148,7 +162,7 @@ void composeInRounds(std::span<const BatchArc> arcs, EvalScratch& scratch) {
         const model::DualResult& t = answers[k++];
         const model::DualResult* d = p.hasDelay ? &answers[k++] : nullptr;
         if (!answered(t) || (d != nullptr && !answered(*d))) {
-          a.fallback = true;
+          a.quality = ArcQuality::SingleInput;
           continue;
         }
         a.comp.fold(t, d != nullptr ? *d : model::DualResult{});
@@ -157,13 +171,19 @@ void composeInRounds(std::span<const BatchArc> arcs, EvalScratch& scratch) {
   }
 }
 
-/// Writes every arc the batch completes and flushes its counters.  Classic
-/// mode ends at setup (computeClassic()'s result is the composition's
-/// start); proximity mode applies the trust check and the corrective term.
+/// Writes every arc's result, on the rung it reached, and flushes the
+/// batch's counters.  Classic mode ends at setup (computeClassic()'s result
+/// is the composition's start).  Proximity mode finishes each composition,
+/// then applies the trust check, which drops an arc clamped past
+/// opt.maxClampDistance to its classic result.  The counters are the scalar
+/// ladder's: an arc whose lookups failed counts what a throwing
+/// ProximityCalculator::compute() counts, and each degraded arc one
+/// computeClassic().
 void finishArcs(std::span<const BatchArc> arcs, DelayMode mode,
                 const DelayCalcOptions& opt, std::vector<ArcState>& states,
                 std::span<BatchArcResult> results) {
   std::uint64_t arcEvals = 0, switchingPins = 0, clampedArcs = 0;
+  std::uint64_t slewFallbacks = 0, degradedArcs = 0;
   model::ProximityCounts counts;
 
   for (std::size_t i = 0; i < arcs.size(); ++i) {
@@ -172,24 +192,43 @@ void finishArcs(std::span<const BatchArc> arcs, DelayMode mode,
       results[i] = {std::nullopt, ArcQuality::Full};
       continue;
     }
-    if (a.fallback) continue;
     const characterize::CharacterizedGate& cell = *arcs[i].cell;
-    const model::ProximityResult& r = a.comp.result();
+    Arrival out{a.classicTime, a.classicSlope,
+                cell.gate.spec.outputEdgeFor(a.events.front().edge)};
+    ArcQuality q = a.quality;
     if (mode == DelayMode::Proximity) {
-      // evaluateGate's trust check: past the distance, the scalar ladder
-      // degrades the arc.
-      if (r.maxClampDistance > opt.maxClampDistance) {
-        a.fallback = true;
-        continue;
+      if (q != ArcQuality::SlewEstimate) counts.started(a.comp);
+      if (q == ArcQuality::Full) {
+        a.comp.finish(cell.correction);
+        counts.finished(a.comp);
+        const model::ProximityResult& r = a.comp.result();
+        if (r.maxClampDistance > 0.0) clampedArcs += 1;
+        if (r.maxClampDistance > opt.maxClampDistance) {
+          q = ArcQuality::SingleInput;
+        } else {
+          out.time = r.outputRefTime;
+          out.slope = r.transitionTime;
+        }
       }
-      a.comp.finish(cell.correction);
-      if (r.maxClampDistance > 0.0) clampedArcs += 1;
-      counts.started(a.comp);
-      counts.finished(a.comp);
     }
-    results[i] = {Arrival{r.outputRefTime, r.transitionTime,
-                          cell.gate.spec.outputEdgeFor(a.events.front().edge)},
-                  ArcQuality::Full};
+    if (q == ArcQuality::SlewEstimate) {
+      // Last rung: no model answered, so bound the arc by the latest input's
+      // transition -- arrival after one full slew, slope carried through.
+      const auto latest = std::max_element(
+          a.events.begin(), a.events.end(),
+          [](const model::InputEvent& x, const model::InputEvent& y) {
+            return x.tRef < y.tRef;
+          });
+      out.time = latest->tRef + latest->tau;
+      out.slope = latest->tau;
+      slewFallbacks += 1;
+    }
+    if (q != ArcQuality::Full) {
+      degradedArcs += 1;
+      // Pin each degradation to its moment on the evaluating thread's track.
+      PROX_OBS_TRACE_INSTANT("sta.arc_degraded");
+    }
+    results[i] = {out, q};
     arcEvals += 1;
     switchingPins += a.events.size();
   }
@@ -197,9 +236,25 @@ void finishArcs(std::span<const BatchArc> arcs, DelayMode mode,
   PROX_OBS_BATCH(obsCells);
   PROX_OBS_COUNT_IN(obsCells, "sta.delay_calc.arc_evals", arcEvals);
   PROX_OBS_COUNT_IN(obsCells, "sta.delay_calc.switching_pins", switchingPins);
+  // The ladder's counters are only touched by degraded arcs, so a clean run
+  // does not list them.
+  if (slewFallbacks != 0) {
+    PROX_OBS_COUNT_IN(obsCells, "sta.delay_calc.slew_fallbacks",
+                      slewFallbacks);
+  }
+  if (degradedArcs != 0) {
+    PROX_OBS_COUNT_IN(obsCells, "sta.delay_calc.degraded_arcs", degradedArcs);
+  }
   if (mode == DelayMode::Classic) {
     PROX_OBS_COUNT_IN(obsCells, "model.proximity.classic_computes", arcEvals);
     return;
+  }
+  // Every degraded proximity arc failed compute() and ran computeClassic().
+  if (degradedArcs != 0) {
+    PROX_OBS_COUNT_IN(obsCells, "sta.delay_calc.single_input_fallbacks",
+                      degradedArcs);
+    PROX_OBS_COUNT_IN(obsCells, "model.proximity.classic_computes",
+                      degradedArcs);
   }
   PROX_OBS_COUNT_IN(obsCells, "sta.delay_calc.clamped_arcs", clampedArcs);
   counts.computes = arcEvals;
@@ -212,8 +267,9 @@ void finishArcs(std::span<const BatchArc> arcs, DelayMode mode,
 void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
                        const DelayCalcOptions& opt,
                        std::span<BatchArcResult> results) {
-  if (results.size() < arcs.size()) {
-    throw std::invalid_argument("evaluateGateBatch: results span too small");
+  if (results.size() != arcs.size()) {
+    throw std::invalid_argument(
+        "evaluateGateBatch: arcs and results differ in length");
   }
   const std::size_t n = arcs.size();
   if (n == 0) return;
@@ -224,15 +280,6 @@ void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
 
   if (mode == DelayMode::Proximity) composeInRounds(arcs, scratch);
   finishArcs(arcs, mode, opt, states, results);
-
-  // --- scalar fallback for anomalous arcs, in arc order --------------------
-  // Exceptions (caller bugs, allowDegraded=false rethrows) escape from the
-  // lowest-index arc first, matching a scalar loop over the same arcs.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!states[i].fallback) continue;
-    results[i].arrival = evaluateGate(*arcs[i].cell, *arcs[i].pins, mode, opt,
-                                      &results[i].quality);
-  }
 }
 
 }  // namespace prox::sta

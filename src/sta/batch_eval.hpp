@@ -1,17 +1,14 @@
 #pragma once
-// Batched per-gate delay calculation: evaluateGate() for a whole chunk of
-// same-level arcs, used by the levelized STA in both delay modes.
+// Per-gate delay calculation for the levelized STA, in both delay modes, a
+// whole chunk of same-level arcs at a time.
 //
-// evaluateGate() costs every arc a ProximityCalculator construction (the
-// StepCorrection vectors copied) plus one virtual dual-table lookup per
-// folded input.  This evaluator instead keeps all per-arc state in reused
-// per-thread scratch.  Each arc's Algorithm ProximityDelay is a
-// model::ProximityComposition -- the same code ProximityCalculator runs --
-// and the batch only does batch work:
-//   * setup starts every arc's composition: the switching events, the
-//     anomaly screen, the dominance order and the dominant input's
-//     Delta^(1)/tau^(1).  Classic mode finishes there, as computeClassic()
-//     does.
+// All per-arc state lives in reused per-thread scratch.  Each arc's
+// Algorithm ProximityDelay is a model::ProximityComposition -- the same code
+// ProximityCalculator runs -- and the batch only does batch work:
+//   * setup gathers each arc's switching events and starts its composition:
+//     the dominance order and the dominant input's Delta^(1)/tau^(1), which
+//     is the classic result.  Classic mode finishes there, as
+//     computeClassic() does.
 //   * Proximity mode advances the compositions in lockstep rounds: each
 //     round stages, across all arcs, the dual-input queries their next
 //     steps need, groups them by dual-table model and answers them with one
@@ -21,17 +18,16 @@
 // After warm-up (scratch grown to the largest chunk) a batch of simple-gate
 // arcs makes no heap allocation in either mode.
 //
-// Equivalence with evaluateGate(): for every arc the produced Arrival and
-// ArcQuality equal evaluateGate()'s exactly, and so do the counters.  Both
-// paths run one composition, which also records the arc's worst clamp
-// distance, and one model::ProximityCounts tally, and evaluateMany() is
-// bit-identical to lookup(), so what is left to hold equal is the batch
-// work itself: event gathering and the trust check.  Any anomaly
-// -- pin-count mismatch, mixed directions, missing models, out-of-trust
-// clamps, any exception -- re-runs that arc through scalar evaluateGate(),
-// which reproduces the scalar path's diagnostics, degradation ladder and
-// counters; propagation-class errors (caller bugs, allowDegraded=false)
-// throw out of it naturally.
+// Degradation ladder: when the model cannot answer, an arc drops a rung
+// instead of failing the run, and no arc is evaluated twice.
+//   * SingleInput: a dual-input table is missing, or the arc's worst clamp
+//     exceeds DelayCalcOptions::maxClampDistance.  The arc takes its classic
+//     result from setup.
+//   * SlewEstimate: the composition could not start (a missing single-input
+//     model).  The arc arrives one slew after its latest input, with that
+//     input's slope.
+// Each rung counts what the scalar ladder it replaced counted
+// (tests/delay_calc_reference.hpp holds the batch to it bit for bit).
 
 #include <span>
 
@@ -40,7 +36,8 @@
 namespace prox::sta {
 
 /// One arc of a batch: a characterized cell and its per-pin input arrivals
-/// (same shape evaluateGate() takes).  Both pointees must outlive the call.
+/// (nullopt for pins whose nets are stable at the non-controlling level).
+/// Both pointees must outlive the call.
 struct BatchArc {
   const characterize::CharacterizedGate* cell = nullptr;
   const std::vector<std::optional<Arrival>>* pins = nullptr;
@@ -51,9 +48,12 @@ struct BatchArcResult {
   ArcQuality quality = ArcQuality::Full;
 };
 
-/// Evaluates arcs[i] into results[i] (spans must be the same length).
-/// Throws exactly when a scalar evaluateGate() loop over the same arcs would
-/// (lowest arc index first).
+/// Evaluates arcs[i] into results[i]: the output arrival (nullopt when no
+/// pin switches) and the ladder rung it came from.  All switching pins of an
+/// arc must share a direction.  Throws std::invalid_argument when the spans
+/// differ in length, and -- from the lowest-index arc, before any result is
+/// written -- on a pin-count mismatch or mixed directions (caller bugs are
+/// never degraded away).
 void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
                        const DelayCalcOptions& opt,
                        std::span<BatchArcResult> results);

@@ -1,7 +1,7 @@
 #pragma once
-// Per-gate delay calculation for the STA: converts input-pin arrival events
-// into an output arrival event using either the classic single-switching-
-// input model or the paper's proximity model.
+// Per-gate delay calculation types for the STA: input/output arrival events,
+// the delay mode (the classic single-switching-input model or the paper's
+// proximity model) and the options.  sta/batch_eval.hpp evaluates the arcs.
 
 #include <limits>
 #include <optional>
@@ -25,7 +25,9 @@ enum class DelayMode {
 
 /// How much of the model the arc actually used.  Anything below Full means
 /// the preferred calculation failed (missing/unusable tables, solver error)
-/// and a cruder-but-safe estimate was substituted.
+/// and a cruder-but-safe estimate was substituted: the degradation ladder
+/// Proximity -> Classic -> slew estimate, each degraded arc counted under
+/// sta.delay_calc.degraded_arcs.
 enum class ArcQuality {
   Full = 0,      ///< requested mode computed cleanly
   SingleInput,   ///< proximity failed; classic single-input delay used
@@ -33,11 +35,6 @@ enum class ArcQuality {
 };
 
 struct DelayCalcOptions {
-  /// When true (default), a failed delay calculation degrades down the
-  /// ladder Proximity -> Classic -> slew estimate instead of throwing; each
-  /// degraded arc is counted under sta.delay_calc.degraded_arcs.  false
-  /// restores fail-fast evaluation.
-  bool allowDegraded = true;
   /// Largest tolerated out-of-grid clamp (relative to the grid span) before
   /// a proximity lookup is considered too extrapolated to trust and the arc
   /// degrades to the classic model.  Infinity accepts any clamp.
@@ -60,22 +57,5 @@ struct DelayCalcOptions {
   /// as degraded arcs.
   StructuralPolicy structural = StructuralPolicy::Reject;
 };
-
-/// Computes the output arrival of @p cell given per-pin input arrivals
-/// (nullopt for pins whose nets are stable at the non-controlling level).
-/// All switching pins must share a direction; returns nullopt when no pin
-/// switches.  Throws std::invalid_argument on mixed directions or pin-count
-/// mismatch (caller bugs are never degraded away).  Model-side failures
-/// follow opt.allowDegraded; @p quality (when non-null) receives how far
-/// down the fallback ladder the arc landed.
-std::optional<Arrival> evaluateGate(const characterize::CharacterizedGate& cell,
-                                    const std::vector<std::optional<Arrival>>& pins,
-                                    DelayMode mode,
-                                    const DelayCalcOptions& opt,
-                                    ArcQuality* quality = nullptr);
-
-std::optional<Arrival> evaluateGate(const characterize::CharacterizedGate& cell,
-                                    const std::vector<std::optional<Arrival>>& pins,
-                                    DelayMode mode);
 
 }  // namespace prox::sta

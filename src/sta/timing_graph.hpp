@@ -34,8 +34,9 @@ class TimingAnalyzer {
   /// options().structural: Reject throws DiagnosticError(StructuralError)
   /// naming the defect; Degrade levelizes anyway (loops broken
   /// deterministically) and records every issue in structuralIssues().
-  /// Model-side per-arc failures follow options().allowDegraded: degraded
-  /// arcs complete with a cruder estimate and are tallied in degradedArcs().
+  /// Model-side per-arc failures never throw: such an arc completes with a
+  /// cruder estimate (sta/batch_eval.hpp's degradation ladder) and is
+  /// tallied in degradedArcs().
   void run();
 
   /// Arrival on @p net after run(); nullopt when the net never switches.

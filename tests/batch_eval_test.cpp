@@ -1,16 +1,19 @@
-// Batched gate evaluation against its scalar reference: for the same arcs,
-// evaluateGateBatch() must produce evaluateGate()'s arrivals bit for bit,
-// the same ArcQuality, the same sta.delay_calc.* / model.proximity.*
-// counter deltas, and -- for caller bugs and allowDegraded=false -- the
-// same exception from the same (lowest) arc, in both delay modes.
+// Batched gate evaluation against the frozen scalar degradation ladder
+// (delay_calc_reference.hpp): for the same arcs, evaluateGateBatch() must
+// produce the reference's arrivals bit for bit, the same ArcQuality, the
+// same sta.delay_calc.* / model.proximity.* counter deltas, and -- for
+// caller bugs -- the same exception from the same (lowest) arc, in both
+// delay modes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <typeinfo>
 
 #include "characterize/analytic.hpp"
+#include "delay_calc_reference.hpp"
 #include "obs/registry.hpp"
 #include "sta/batch_eval.hpp"
 #include "sta/synth.hpp"
@@ -79,12 +82,12 @@ Outcome measure(std::size_t arcCount, Fn&& evaluate) {
   return out;
 }
 
-Outcome runScalar(const std::vector<Arc>& arcs, DelayMode mode,
-                  const sta::DelayCalcOptions& opt) {
+Outcome runReference(const std::vector<Arc>& arcs, DelayMode mode,
+                     const sta::DelayCalcOptions& opt) {
   return measure(arcs.size(), [&](std::vector<sta::BatchArcResult>& r) {
     for (std::size_t i = 0; i < arcs.size(); ++i) {
-      r[i].arrival = sta::evaluateGate(*arcs[i].cell, arcs[i].pins, mode, opt,
-                                       &r[i].quality);
+      r[i].arrival = testutil::referenceEvaluateGate(
+          *arcs[i].cell, arcs[i].pins, mode, opt, &r[i].quality);
     }
   });
 }
@@ -100,13 +103,13 @@ Outcome runBatch(const std::vector<Arc>& arcs, DelayMode mode,
 
 bool sameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-/// Runs @p arcs through both paths and holds the batch to the scalar loop.
-/// Results and counters are compared only when nothing threw: a scalar loop
-/// stops at the throwing arc, while the batch has already finished the
-/// others.
-void expectBatchMatchesScalar(const std::vector<Arc>& arcs, DelayMode mode,
-                              const sta::DelayCalcOptions& opt = {}) {
-  const Outcome want = runScalar(arcs, mode, opt);
+/// Runs @p arcs through the batch and the reference loop and holds the batch
+/// to the reference.  Results and counters are compared only when nothing
+/// threw: the reference loop stops at the throwing arc, while the batch
+/// throws before evaluating any.
+void expectBatchMatchesReference(const std::vector<Arc>& arcs, DelayMode mode,
+                                 const sta::DelayCalcOptions& opt = {}) {
+  const Outcome want = runReference(arcs, mode, opt);
   const Outcome got = runBatch(arcs, mode, opt);
   EXPECT_EQ(got.error, want.error);
   if (!want.error.empty()) return;
@@ -174,6 +177,25 @@ const CharacterizedGate& nand2MissingFallingPin1() {
   return g.gate;
 }
 
+/// An analytic NAND2 with part of its dual tables: pin 0 keeps both tables
+/// for both edges, pin 1 keeps only its rising transition table, so a
+/// lookup can miss on the delay query alone or on both.
+const CharacterizedGate& nand2MissingDualTables() {
+  static const CharacterizedGate g = [] {
+    CharacterizedGate c = characterize::analyticGate(testutil::nandSpec(2));
+    auto dual = std::make_unique<model::TabulatedDualInputModel>(*c.singles);
+    for (const Edge e : {Edge::Rising, Edge::Falling}) {
+      dual->setDelayTable(0, e, c.dual->delayTable(0, e));
+      dual->setTransitionTable(0, e, c.dual->transitionTable(0, e));
+    }
+    dual->setTransitionTable(1, Edge::Rising,
+                             c.dual->transitionTable(1, Edge::Rising));
+    c.dual = std::move(dual);
+    return c;
+  }();
+  return g;
+}
+
 Arrival rise(double t, double tau) { return {t, tau, Edge::Rising}; }
 Arrival fall(double t, double tau) { return {t, tau, Edge::Falling}; }
 
@@ -189,7 +211,9 @@ TEST(BatchEval, IdleGatesAndSingleSwitchingPins) {
       {&inv, {std::nullopt}},
       {&nand3, {fall(-5e-12, 2e-9), std::nullopt, std::nullopt}},
   };
-  for (const DelayMode mode : kModes) expectBatchMatchesScalar(arcs, mode);
+  for (const DelayMode mode : kModes) {
+    expectBatchMatchesReference(arcs, mode);
+  }
 }
 
 TEST(BatchEval, ExactCrossingTiesPickTheSameDominantInput) {
@@ -203,7 +227,9 @@ TEST(BatchEval, ExactCrossingTiesPickTheSameDominantInput) {
       {&tied, {fall(20e-12, 300e-12), fall(20e-12, 300e-12)}},
       {&tied, {rise(0.0, 50e-12), rise(0.0, 50e-12)}},
   };
-  for (const DelayMode mode : kModes) expectBatchMatchesScalar(arcs, mode);
+  for (const DelayMode mode : kModes) {
+    expectBatchMatchesReference(arcs, mode);
+  }
 }
 
 TEST(BatchEval, SeededMixedLibraryArcsMatchBitForBit) {
@@ -238,11 +264,20 @@ TEST(BatchEval, SeededMixedLibraryArcsMatchBitForBit) {
   }
   for (const DelayMode mode : kModes) {
     SCOPED_TRACE(mode == DelayMode::Classic ? "classic" : "proximity");
-    expectBatchMatchesScalar(arcs, mode);
-    // Out-of-trust clamps degrade proximity arcs through the scalar ladder.
+    expectBatchMatchesReference(arcs, mode);
+    // Out-of-trust clamps degrade proximity arcs to their classic result.
     sta::DelayCalcOptions strict;
     strict.maxClampDistance = 0.0;
-    expectBatchMatchesScalar(arcs, mode, strict);
+    expectBatchMatchesReference(arcs, mode, strict);
+    if (mode == DelayMode::Proximity) {
+      const Outcome got = runBatch(arcs, mode, strict);
+      EXPECT_GT(std::count_if(got.results.begin(), got.results.end(),
+                              [](const sta::BatchArcResult& r) {
+                                return r.quality ==
+                                       sta::ArcQuality::SingleInput;
+                              }),
+                0);
+    }
   }
 }
 
@@ -252,8 +287,8 @@ TEST(BatchEval, CallerBugsThrowFromTheLowestArc) {
   const Arc mixed{&nand2, {rise(0.0, 100e-12), fall(5e-12, 100e-12)}};
   const Arc shortPins{&nand2, {rise(0.0, 100e-12)}};
   for (const DelayMode mode : kModes) {
-    expectBatchMatchesScalar({good, good, mixed, good, shortPins}, mode);
-    expectBatchMatchesScalar({good, shortPins, good, mixed}, mode);
+    expectBatchMatchesReference({good, good, mixed, good, shortPins}, mode);
+    expectBatchMatchesReference({good, shortPins, good, mixed}, mode);
     const Outcome got = runBatch({good, mixed}, mode, {});
     EXPECT_NE(got.error.find("mixed input directions"), std::string::npos)
         << got.error;
@@ -269,26 +304,59 @@ TEST(BatchEval, MissingSingleInputModelDegradesLikeScalar) {
       {&partial, {fall(0.0, 100e-12), std::nullopt}},           // complete
   };
   for (const DelayMode mode : kModes) {
-    expectBatchMatchesScalar(arcs, mode);
+    expectBatchMatchesReference(arcs, mode);
     const Outcome got = runBatch(arcs, mode, {});
     EXPECT_EQ(got.results[0].quality, sta::ArcQuality::SlewEstimate);
     EXPECT_EQ(got.results[2].quality, sta::ArcQuality::Full);
   }
 }
 
-TEST(BatchEval, FailFastRethrowsTheScalarError) {
-  const auto& partial = nand2MissingFallingPin1();
-  const auto& nand2 = analytic(cells::GateType::Nand, 2);
-  sta::DelayCalcOptions failFast;
-  failFast.allowDegraded = false;
-  const std::vector<Arc> arcs{
-      {&nand2, {rise(0.0, 100e-12), rise(5e-12, 100e-12)}},
-      {&partial, {fall(0.0, 100e-12), fall(10e-12, 100e-12)}},
-      {&nand2, {rise(0.0, 100e-12), fall(5e-12, 100e-12)}},
-  };
+TEST(BatchEval, MissingDualTablesDegradeToSingleInputInTheBatch) {
+  // Complete and table-missing arcs share the batch: the clean arcs finish
+  // at full quality while the others drop to their classic result.
+  const CharacterizedGate* mix[] = {&nand2MissingDualTables(),
+                                    &analytic(cells::GateType::Nand, 2)};
+  std::mt19937_64 rng(18);
+  std::uniform_real_distribution<double> t(-50e-12, 150e-12);
+  std::uniform_real_distribution<double> tau(20e-12, 1e-9);
+  std::vector<Arc> arcs;
+  for (int i = 0; i < 200; ++i) {
+    const Edge edge = rng() % 2 == 0 ? Edge::Rising : Edge::Falling;
+    Pins pins(2);
+    for (auto& p : pins) {
+      if (rng() % 4 != 0) p = Arrival{t(rng), tau(rng), edge};
+    }
+    arcs.push_back({mix[rng() % std::size(mix)], std::move(pins)});
+  }
   for (const DelayMode mode : kModes) {
-    expectBatchMatchesScalar(arcs, mode, failFast);
-    EXPECT_FALSE(runBatch(arcs, mode, failFast).error.empty());
+    SCOPED_TRACE(mode == DelayMode::Classic ? "classic" : "proximity");
+    expectBatchMatchesReference(arcs, mode);
+    sta::DelayCalcOptions strict;
+    strict.maxClampDistance = 0.0;
+    expectBatchMatchesReference(arcs, mode, strict);
+  }
+  const Outcome got = runBatch(arcs, DelayMode::Proximity, {});
+  std::size_t full = 0, single = 0;
+  for (const sta::BatchArcResult& r : got.results) {
+    if (!r.arrival) continue;
+    full += r.quality == sta::ArcQuality::Full ? 1 : 0;
+    single += r.quality == sta::ArcQuality::SingleInput ? 1 : 0;
+  }
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(single, 0u);
+}
+
+TEST(BatchEval, SpansOfDifferentLengthsThrow) {
+  const auto& nand2 = analytic(cells::GateType::Nand, 2);
+  const Pins pins{rise(0.0, 100e-12), rise(5e-12, 100e-12)};
+  const std::vector<sta::BatchArc> arcs(2, sta::BatchArc{&nand2, &pins});
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+    std::vector<sta::BatchArcResult> results(n);
+    for (const DelayMode mode : kModes) {
+      EXPECT_THROW(sta::evaluateGateBatch(arcs, mode, {}, results),
+                   std::invalid_argument)
+          << n << " results";
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "characterize/analytic.hpp"
 #include "characterize/characterize.hpp"
 #include "model/dual_input.hpp"
 #include "model/single_input.hpp"
@@ -314,6 +315,97 @@ TEST(StaDeterminism, TracingOnDoesNotChangeArrivals) {
     EXPECT_NE(session.exportJson().find("sta.level"), std::string::npos)
         << "threads=" << threads;
 #endif
+  }
+}
+
+// Degraded and clean arcs in the same 64-arc chunks: a 256-gate level of
+// analytic NAND2s where every third gate's cell has dual tables for pin 0
+// only, so arcs whose dominant input is pin 1 drop to their classic result
+// next to full-quality arcs, then a 64-gate level reading those outputs.
+struct MixedStaRun {
+  std::vector<sta::Arrival> arrivals;
+  std::size_t degraded = 0;
+  std::vector<std::string> degradedNames;
+};
+
+const characterize::CharacterizedGate& nand2WithPin0TablesOnly() {
+  static const characterize::CharacterizedGate g = [] {
+    characterize::CharacterizedGate c =
+        characterize::analyticGate(testutil::nandSpec(2));
+    auto dual = std::make_unique<model::TabulatedDualInputModel>(*c.singles);
+    for (const Edge e : {Edge::Rising, Edge::Falling}) {
+      dual->setDelayTable(0, e, c.dual->delayTable(0, e));
+      dual->setTransitionTable(0, e, c.dual->transitionTable(0, e));
+    }
+    c.dual = std::move(dual);
+    return c;
+  }();
+  return g;
+}
+
+/// @p prefix followed by @p i (appended: GCC 12 raises a false -Wrestrict on
+/// operator+ with a temporary string).
+std::string name(const char* prefix, int i) {
+  std::string s = prefix;
+  s += std::to_string(i);
+  return s;
+}
+
+MixedStaRun runMixedSta(int threads) {
+  static const sta::GateLibrary lib = sta::analyticLibrary();
+  const auto& complete = lib.require(cells::GateType::Nand, 2);
+  const auto& partial = nand2WithPin0TablesOnly();
+  constexpr int kInputs = 10, kFirst = 256, kSecond = 64;
+  sta::Netlist nl;
+  for (int k = 0; k < kInputs; ++k) nl.addPrimaryInput(name("p", k));
+  for (int i = 0; i < kFirst; ++i) {
+    const int a = i % kInputs;
+    const int b = (a + 1 + (i / kInputs) % (kInputs - 1)) % kInputs;
+    nl.addInstance(name("g", i), i % 3 == 0 ? partial : complete,
+                   {name("p", a), name("p", b)}, name("n", i));
+  }
+  for (int i = 0; i < kSecond; ++i) {
+    nl.addInstance(name("h", i), i % 3 == 0 ? partial : complete,
+                   {name("n", 2 * i), name("n", 2 * i + 1)}, name("m", i));
+  }
+
+  sta::DelayCalcOptions opt;
+  opt.threads = threads;
+  sta::TimingAnalyzer ta(nl, sta::DelayMode::Proximity, opt);
+  // Close, same-direction arrivals: every gate looks its dual tables up.
+  for (int k = 0; k < kInputs; ++k) {
+    ta.setInputArrival(name("p", k),
+                       {7e-12 * k, (60.0 + 15.0 * k) * 1e-12, Edge::Rising});
+  }
+  ta.run();
+
+  MixedStaRun out;
+  for (int i = 0; i < kFirst; ++i) {
+    out.arrivals.push_back(ta.arrival(name("n", i)).value_or(sta::Arrival{}));
+  }
+  for (int i = 0; i < kSecond; ++i) {
+    out.arrivals.push_back(ta.arrival(name("m", i)).value_or(sta::Arrival{}));
+  }
+  out.degraded = ta.degradedArcs();
+  out.degradedNames = ta.degradedArcNames();
+  return out;
+}
+
+TEST(StaDeterminism, DegradedAndCleanArcsShareChunksAtAnyThreadCount) {
+  const MixedStaRun serial = runMixedSta(1);
+  EXPECT_GT(serial.degraded, 0u);
+  EXPECT_LT(serial.degraded, serial.arrivals.size());
+  for (const int threads : {2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const MixedStaRun parallel = runMixedSta(threads);
+    ASSERT_EQ(parallel.arrivals.size(), serial.arrivals.size());
+    for (std::size_t i = 0; i < serial.arrivals.size(); ++i) {
+      EXPECT_EQ(parallel.arrivals[i].time, serial.arrivals[i].time) << i;
+      EXPECT_EQ(parallel.arrivals[i].slope, serial.arrivals[i].slope) << i;
+      EXPECT_EQ(parallel.arrivals[i].edge, serial.arrivals[i].edge) << i;
+    }
+    EXPECT_EQ(parallel.degraded, serial.degraded);
+    EXPECT_EQ(parallel.degradedNames, serial.degradedNames);
   }
 }
 

@@ -378,20 +378,6 @@ TEST(StaDegraded, MissingDualTablesFallBackToSingleInput) {
   EXPECT_GT(y->time, 0.0);
 }
 
-TEST(StaDegraded, StrictOptionsRethrowTyped) {
-  const auto nl = oneGateNetlist(cellWithoutDuals());
-  sta::DelayCalcOptions strict;
-  strict.allowDegraded = false;
-  sta::TimingAnalyzer ta(nl, sta::DelayMode::Proximity, strict);
-  setCloseArrivals(ta);
-  try {
-    ta.run();
-    FAIL() << "expected missing-table failure";
-  } catch (const DiagnosticError& e) {
-    EXPECT_EQ(e.code(), StatusCode::TableMissing);
-  }
-}
-
 TEST(StaDegraded, DistrustedClampDegradesArc) {
   const auto nl = oneGateNetlist(cellWithFarTables());
   // Default options tolerate any clamp: the arc completes at full quality.
@@ -410,6 +396,30 @@ TEST(StaDegraded, DistrustedClampDegradesArc) {
   strict.run();
   EXPECT_EQ(strict.degradedArcs(), 1u);
   EXPECT_TRUE(strict.arrival("y").has_value());
+}
+
+TEST(StaDegraded, DegradedArcLooksEachQueryUpOnce) {
+  // The one arc's single step stages two queries (transition and delay);
+  // degrading the arc must not look them up again.
+  const auto lookups = counterValue("model.dual.table_lookups");
+  const auto clamps = counterValue("model.dual.clamped_lookups");
+  sta::DelayCalcOptions picky;
+  picky.maxClampDistance = 0.5;
+  const auto far = oneGateNetlist(cellWithFarTables());
+  sta::TimingAnalyzer distrusted(far, sta::DelayMode::Proximity, picky);
+  setCloseArrivals(distrusted);
+  distrusted.run();
+  EXPECT_EQ(distrusted.degradedArcs(), 1u);
+  EXPECT_EQ(counterValue("model.dual.table_lookups") - lookups, 2u);
+  EXPECT_EQ(counterValue("model.dual.clamped_lookups") - clamps, 2u);
+
+  const auto missing = counterValue("model.dual.missing_tables");
+  const auto bare = oneGateNetlist(cellWithoutDuals());
+  sta::TimingAnalyzer tableless(bare, sta::DelayMode::Proximity);
+  setCloseArrivals(tableless);
+  tableless.run();
+  EXPECT_EQ(tableless.degradedArcs(), 1u);
+  EXPECT_EQ(counterValue("model.dual.missing_tables") - missing, 2u);
 }
 
 TEST(DualModel, MissingTableThrowsTypedAndClampDistanceIsReturned) {

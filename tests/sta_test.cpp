@@ -5,6 +5,7 @@
 
 #include <limits>
 
+#include "sta/batch_eval.hpp"
 #include "sta/blif.hpp"
 #include "sta/timing_graph.hpp"
 #include "test_util.hpp"
@@ -191,18 +192,27 @@ TEST(Netlist, DetectsCycle) {
   EXPECT_THROW(nl.topologicalOrder(), std::runtime_error);
 }
 
+/// Evaluates one arc: a batch of one.
+std::optional<Arrival> evaluateOne(
+    const characterize::CharacterizedGate& cell,
+    const std::vector<std::optional<Arrival>>& pins, DelayMode mode) {
+  const sta::BatchArc arc{&cell, &pins};
+  sta::BatchArcResult result;
+  sta::evaluateGateBatch({&arc, 1}, mode, {}, {&result, 1});
+  return result.arrival;
+}
+
 TEST(DelayCalc, NoSwitchingPinsYieldsNoOutput) {
   const auto& cell = testutil::nand2Model();
   const auto out =
-      sta::evaluateGate(cell, {std::nullopt, std::nullopt}, DelayMode::Classic);
+      evaluateOne(cell, {std::nullopt, std::nullopt}, DelayMode::Classic);
   EXPECT_FALSE(out.has_value());
 }
 
 TEST(DelayCalc, SingleSwitchingPinPropagates) {
   const auto& cell = testutil::nand2Model();
   Arrival a{1e-9, 300e-12, Edge::Rising};
-  const auto out =
-      sta::evaluateGate(cell, {a, std::nullopt}, DelayMode::Classic);
+  const auto out = evaluateOne(cell, {a, std::nullopt}, DelayMode::Classic);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->edge, Edge::Falling);  // NAND inverts
   EXPECT_NEAR(out->time,
@@ -214,7 +224,7 @@ TEST(DelayCalc, MixedDirectionsThrow) {
   const auto& cell = testutil::nand2Model();
   Arrival r{0.0, 300e-12, Edge::Rising};
   Arrival f{0.0, 300e-12, Edge::Falling};
-  EXPECT_THROW(sta::evaluateGate(cell, {r, f}, DelayMode::Classic),
+  EXPECT_THROW(evaluateOne(cell, {r, f}, DelayMode::Classic),
                std::invalid_argument);
 }
 
@@ -222,8 +232,8 @@ TEST(DelayCalc, ProximityDiffersFromClassicWhenClose) {
   const auto& cell = testutil::nand2Model();
   Arrival a{0.0, 500e-12, Edge::Falling};
   Arrival b{20e-12, 100e-12, Edge::Falling};
-  const auto classic = sta::evaluateGate(cell, {a, b}, DelayMode::Classic);
-  const auto prox = sta::evaluateGate(cell, {a, b}, DelayMode::Proximity);
+  const auto classic = evaluateOne(cell, {a, b}, DelayMode::Classic);
+  const auto prox = evaluateOne(cell, {a, b}, DelayMode::Proximity);
   ASSERT_TRUE(classic && prox);
   EXPECT_NE(classic->time, prox->time);
   // Falling pair: parallel pullup reinforcement makes proximity earlier.
