@@ -25,6 +25,8 @@
 #include "characterize/characterize.hpp"
 #include "demo_cells.hpp"
 #include "fleet/bundle.hpp"
+#include "obs/scoped_timer.hpp"
+#include "obs/trace.hpp"
 #include "sta/blif.hpp"
 #include "sta/flat_sim.hpp"
 #include "support/diagnostic.hpp"
@@ -100,6 +102,8 @@ void runBlifFlow(const std::string& path, const std::string& libKind,
   }
 
   // Latest-arriving declared output under the proximity model.
+  PROX_OBS_SCOPED_TIMER("sta.report.seconds");
+  PROX_OBS_SPAN("sta.report");
   sta::NetId worst;
   for (const std::string& net : summary.outputs) {
     const sta::NetId id = nl.findNet(net);

@@ -27,113 +27,152 @@ std::pair<int, int> cellKey(cells::GateType type, int fanin) {
   return {static_cast<int>(type), fanin};
 }
 
-// --- Parsed intermediate form ----------------------------------------------
-// The reader lexes the whole file into cards first and builds the netlist
-// second, so card order (".inputs" after the gates that read them, multiple
-// ".outputs" cards) never matters.  Every token is a view into the input
-// text, which outlives the parse, and covers are index ranges into two flat
-// arrays, so lexing allocates nothing per token, row or cover.
+// --- Two passes over the text -----------------------------------------------
+// The reader walks the in-memory text twice, with one lexer.  Pass 1 runs
+// every grammar check, cap and token charge in file order and keeps only
+// what the build needs before its first cover: the .inputs/.outputs/.latch
+// declarations and the counts Netlist::reserve takes.  Pass 2 re-reads the
+// validated text and builds each cover when its card closes, from one
+// reused buffer.  So card order never matters (".inputs" after the gates
+// that read them, several ".outputs" cards), every lex error precedes every
+// build error, and apart from the declarations nothing the reader keeps
+// grows with the number of tokens, rows or covers.  Every token is a view
+// into the input text, which outlives the parse.
 
-struct Row {
-  int line = 0;
-  std::string_view plane;  ///< k characters over {'0','1','-'}; empty if k == 0
-  char out = '0';
-};
+using Tokens = std::span<const std::string_view>;
 
-/// 32-bit ranges, like the Netlist's pin CSR: a token costs at least two
-/// input bytes, so the default 256 MiB input cap stays far below 2^32.
-struct Cover {
-  int line = 0;
-  /// nets[netFirst .. netFirst + netCount): inputs..., output last.
-  std::uint32_t netFirst = 0;
-  std::uint32_t netCount = 0;
-  /// rows[rowFirst .. rowFirst + rowCount).
-  std::uint32_t rowFirst = 0;
-  std::uint32_t rowCount = 0;
+/// The lexer both passes run.  Splits @p text into logical lines (comments
+/// stripped, '\'-continuations joined, tokens split on blanks) and calls
+/// onLine(line, tokens) for each non-empty one, where line is the physical
+/// line of its first token; stops early when onLine returns false.  Every
+/// token is held to the token-size cap and, when @p budget is given,
+/// charged to it.  Returns the last physical line read.
+template <class OnLine>
+int lexLogicalLines(std::string_view text, const BlifOptions& options,
+                    AllocationBudget* budget, OnLine&& onLine) {
+  std::vector<std::string_view> tokens;  // one logical line, reused
+  int logicalLine = 0;
 
-  std::size_t fanin() const { return netCount - 1; }
-};
+  std::size_t pos = 0;
+  int physLine = 0;
+  bool done = false;
+  while (!done) {
+    ++physLine;
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) {
+      eol = text.size();
+      done = true;
+    }
+    const char* p = text.data() + pos;
+    const char* const end = text.data() + eol;
+    pos = eol + 1;
+
+    // Split on blanks up to a '#', then drop the line's trailing CRs (a
+    // token of CRs only is trailing blank space) and a final '\'.
+    const std::size_t first = tokens.size();
+    while (p != end && *p != '#') {
+      if (*p == ' ' || *p == '\t') {
+        ++p;
+        continue;
+      }
+      const char* start = p;
+      while (p != end && *p != ' ' && *p != '\t' && *p != '#') ++p;
+      tokens.emplace_back(start, static_cast<std::size_t>(p - start));
+    }
+    while (tokens.size() > first) {
+      std::string_view& last = tokens.back();
+      while (!last.empty() && last.back() == '\r') last.remove_suffix(1);
+      if (!last.empty()) break;
+      tokens.pop_back();
+    }
+    bool continued = false;
+    if (tokens.size() > first && tokens.back().back() == '\\') {
+      continued = true;
+      tokens.back().remove_suffix(1);
+      if (tokens.back().empty()) tokens.pop_back();
+    }
+    for (std::size_t i = first; i < tokens.size(); ++i) {
+      if (tokens[i].size() > options.limits.maxTokenBytes) {
+        failResource(kSite, "token exceeds size cap", physLine);
+      }
+      if (budget != nullptr) {
+        budget->charge(tokens[i].size() + 32, "token", physLine);
+      }
+    }
+    if (first == 0 && !tokens.empty()) logicalLine = physLine;
+
+    if (continued) continue;  // logical line extends onto the next one
+    if (!tokens.empty() && !onLine(logicalLine, Tokens(tokens))) break;
+    tokens.clear();
+  }
+  return physLine;
+}
+
+/// Checks one row of a cover with fanin @p k.
+void checkCoverRow(std::size_t k, int line, Tokens tokens) {
+  if (k == 0) {
+    if (tokens.size() != 1 || tokens[0].size() != 1 ||
+        (tokens[0][0] != '0' && tokens[0][0] != '1')) {
+      failParse(kSite, "constant cover row must be a single '0' or '1'", line);
+    }
+    return;
+  }
+  if (tokens.size() != 2) {
+    failParse(kSite, "cover row must be <plane> <output>", line);
+  }
+  if (tokens[0].size() != k) {
+    failParse(kSite,
+              "cover row width " + std::to_string(tokens[0].size()) +
+                  " does not match fanin " + std::to_string(k),
+              line);
+  }
+  for (const char c : tokens[0]) {
+    if (c != '0' && c != '1' && c != '-') {
+      failParse(kSite, std::string("invalid cover-plane character '") + c + "'",
+                line);
+    }
+  }
+  if (tokens[1].size() != 1 || (tokens[1][0] != '0' && tokens[1][0] != '1')) {
+    failParse(kSite, "cover output must be '0' or '1'", line);
+  }
+}
 
 struct LineNet {
   int line = 0;
   std::string_view net;
 };
 
-struct ParsedBlif {
+/// What pass 1 keeps: the declarations the build adds before any cover, and
+/// the counts that size the netlist.
+struct Cards {
   std::string_view modelName;
   bool sawModel = false;
   bool ended = false;
   std::vector<LineNet> inputs;
   std::vector<LineNet> outputs;
   std::vector<LineNet> latchOutputs;
-  std::vector<Cover> covers;
-  std::vector<std::string_view> nets;  ///< every cover's nets, back to back
-  std::vector<Row> rows;               ///< every cover's rows, back to back
   std::size_t tokens = 0;
-
-  std::span<const std::string_view> netsOf(const Cover& c) const {
-    return {nets.data() + c.netFirst, c.netCount};
-  }
-  std::span<const Row> rowsOf(const Cover& c) const {
-    return {rows.data() + c.rowFirst, c.rowCount};
-  }
+  std::size_t covers = 0;  ///< .names cards
+  std::size_t gates = 0;   ///< .names cards with inputs
+  std::size_t pins = 0;    ///< the fanins of those cards
 };
 
-using Tokens = std::span<const std::string_view>;
+constexpr std::size_t kNoCover = static_cast<std::size_t>(-1);
 
-/// Appends one row to the open cover (always covers.back()).
-void parseCoverRow(ParsedBlif* out, int line, Tokens tokens) {
-  Cover& cover = out->covers.back();
-  const std::size_t k = cover.fanin();
-  Row row;
-  row.line = line;
-  if (k == 0) {
-    if (tokens.size() != 1 || tokens[0].size() != 1 ||
-        (tokens[0][0] != '0' && tokens[0][0] != '1')) {
-      failParse(kSite, "constant cover row must be a single '0' or '1'", line);
-    }
-    row.out = tokens[0][0];
-  } else {
-    if (tokens.size() != 2) {
-      failParse(kSite, "cover row must be <plane> <output>", line);
-    }
-    if (tokens[0].size() != k) {
-      failParse(kSite,
-                "cover row width " + std::to_string(tokens[0].size()) +
-                    " does not match fanin " + std::to_string(k),
-                line);
-    }
-    for (const char c : tokens[0]) {
-      if (c != '0' && c != '1' && c != '-') {
-        failParse(kSite,
-                  std::string("invalid cover-plane character '") + c + "'",
-                  line);
-      }
-    }
-    if (tokens[1].size() != 1 || (tokens[1][0] != '0' && tokens[1][0] != '1')) {
-      failParse(kSite, "cover output must be '0' or '1'", line);
-    }
-    row.plane = tokens[0];
-    row.out = tokens[1][0];
-  }
-  out->rows.push_back(row);
-  ++cover.rowCount;
-}
-
-/// Dispatches one logical line (continuations already joined) into @p out.
-/// @p coverOpen tracks whether covers.back() is the .names card whose rows
-/// are being read.
-void handleLogicalLine(ParsedBlif* out, bool* coverOpen, int line,
-                       Tokens tokens, const BlifOptions& options) {
+/// Checks one logical line against the card grammar and records it in
+/// @p out.  @p openFanin is the fanin of the .names card whose rows are
+/// being read, or kNoCover.
+void checkLogicalLine(Cards* out, std::size_t* openFanin, int line,
+                      Tokens tokens, const BlifOptions& options) {
   const std::string_view head = tokens[0];
   if (head[0] != '.') {
-    if (!*coverOpen) {
+    if (*openFanin == kNoCover) {
       failParse(kSite, "cover row outside a .names card", line);
     }
-    parseCoverRow(out, line, tokens);
+    checkCoverRow(*openFanin, line, tokens);
     return;
   }
-  *coverOpen = false;
+  *openFanin = kNoCover;
   if (head == ".model") {
     if (out->sawModel) failParse(kSite, "duplicate .model", line);
     if (tokens.size() != 2) failParse(kSite, ".model: expected one name", line);
@@ -149,20 +188,19 @@ void handleLogicalLine(ParsedBlif* out, bool* coverOpen, int line,
     }
   } else if (head == ".names") {
     if (tokens.size() < 2) failParse(kSite, ".names: missing output net", line);
-    if (tokens.size() - 2 > options.maxFanin) {
+    const std::size_t fanin = tokens.size() - 2;
+    if (fanin > options.maxFanin) {
       failResource(kSite,
-                   ".names fanin " + std::to_string(tokens.size() - 2) +
-                       " exceeds cap " + std::to_string(options.maxFanin),
+                   ".names fanin " + std::to_string(fanin) + " exceeds cap " +
+                       std::to_string(options.maxFanin),
                    line);
     }
-    Cover cover;
-    cover.line = line;
-    cover.netFirst = static_cast<std::uint32_t>(out->nets.size());
-    cover.netCount = static_cast<std::uint32_t>(tokens.size() - 1);
-    cover.rowFirst = static_cast<std::uint32_t>(out->rows.size());
-    out->nets.insert(out->nets.end(), tokens.begin() + 1, tokens.end());
-    out->covers.push_back(cover);
-    *coverOpen = true;
+    ++out->covers;
+    if (fanin != 0) {
+      ++out->gates;
+      out->pins += fanin;
+    }
+    *openFanin = fanin;
   } else if (head == ".latch") {
     if (!options.allowLatches) {
       failParse(kSite, ".latch not allowed by reader options", line);
@@ -181,72 +219,42 @@ void handleLogicalLine(ParsedBlif* out, bool* coverOpen, int line,
   }
 }
 
-/// Lexes @p text into logical lines (comments stripped, '\'-continuations
-/// joined, tokens split on blanks) and feeds them through the card state
-/// machine.  Every token is budget-charged before it is stored.
-ParsedBlif parseCards(std::string_view text, const BlifOptions& options,
-                      AllocationBudget* budget) {
-  ParsedBlif out;
-  bool coverOpen = false;
-  std::vector<std::string_view> tokens;  // one logical line, reused
-  int logicalLine = 0;
-
-  std::size_t pos = 0;
-  int physLine = 0;
-  bool done = false;
-  while (!done) {
-    ++physLine;
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) {
-      eol = text.size();
-      done = true;
-    }
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-
-    if (const std::size_t hash = line.find('#');
-        hash != std::string_view::npos) {
-      line = line.substr(0, hash);
-    }
-    while (!line.empty() &&
-           (line.back() == '\r' || line.back() == ' ' || line.back() == '\t')) {
-      line.remove_suffix(1);
-    }
-    bool continued = false;
-    if (!line.empty() && line.back() == '\\') {
-      continued = true;
-      line.remove_suffix(1);
-    }
-
-    std::size_t i = 0;
-    while (i < line.size()) {
-      while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-      std::size_t start = i;
-      while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-      if (i == start) break;
-      const std::string_view token = line.substr(start, i - start);
-      if (token.size() > options.limits.maxTokenBytes) {
-        failResource(kSite, "token exceeds size cap", physLine);
-      }
-      budget->charge(token.size() + 32, "token", physLine);
-      if (tokens.empty()) logicalLine = physLine;
-      tokens.push_back(token);
-    }
-
-    if (continued) continue;  // logical line extends onto the next one
-    if (!tokens.empty() && !out.ended) {
-      out.tokens += tokens.size();
-      handleLogicalLine(&out, &coverOpen, logicalLine, tokens, options);
-    }
-    tokens.clear();
-  }
+/// Pass 1.  Lexes the whole text, junk after .end included, so every token
+/// is capped and charged.
+Cards lexCards(std::string_view text, const BlifOptions& options,
+               AllocationBudget* budget) {
+  Cards out;
+  std::size_t openFanin = kNoCover;
+  const int lastLine =
+      lexLogicalLines(text, options, budget, [&](int line, Tokens tokens) {
+        if (!out.ended) {
+          out.tokens += tokens.size();
+          checkLogicalLine(&out, &openFanin, line, tokens, options);
+        }
+        return true;
+      });
   if (!out.ended) {
-    failParse(kSite, "truncated input: missing .end", physLine);
+    failParse(kSite, "truncated input: missing .end", lastLine);
   }
   return out;
 }
 
 // --- Cover classification ---------------------------------------------------
+
+struct Row {
+  int line = 0;
+  std::string_view plane;  ///< k characters over {'0','1','-'}; empty if k == 0
+  char out = '0';
+};
+
+/// The .names card pass 2 is reading: one buffer, reused for every card.
+struct Cover {
+  int line = 0;
+  std::vector<std::string_view> nets;  ///< inputs..., output last
+  std::vector<Row> rows;
+
+  std::size_t fanin() const { return nets.size() - 1; }
+};
 
 /// Maps a validated cover to the characterized cell type it denotes, or
 /// fails with a typed ParseError.  Recognized shapes (k = fanin):
@@ -256,9 +264,9 @@ ParsedBlif parseCards(std::string_view text, const BlifOptions& options,
 ///   NOR:  single all-'0' row -> '1', or k rows each with exactly one '1'
 ///         (rest '-') -> '0' covering every position once
 /// @p seen is scratch space for the one-hot forms, reused across covers.
-cells::GateType classifyCover(const Cover& cover, std::span<const Row> rows,
-                              std::vector<char>* seen) {
+cells::GateType classifyCover(const Cover& cover, std::vector<char>* seen) {
   const std::size_t k = cover.fanin();
+  const std::vector<Row>& rows = cover.rows;
   if (rows.empty()) {
     failParse(kSite, ".names with inputs but no cover rows", cover.line);
   }
@@ -333,29 +341,27 @@ std::size_t firstRepeat(const std::vector<LineNet>& decls) {
   return first;
 }
 
-BlifSummary buildFromParsed(const ParsedBlif& parsed, const GateLibrary& library,
-                            Netlist* netlist, AllocationBudget* budget) {
-  if (!parsed.sawModel) failParse(kSite, "missing .model", 1);
+/// Builds the netlist from pass 1's @p cards and, in pass 2, from the covers
+/// of @p text in file order.
+BlifSummary buildNetlist(std::string_view text, const Cards& cards,
+                         const BlifOptions& options,
+                         const GateLibrary& library, Netlist* netlist,
+                         AllocationBudget* budget) {
+  if (!cards.sawModel) failParse(kSite, "missing .model", 1);
   BlifSummary summary;
-  summary.modelName = parsed.modelName;
+  summary.modelName = cards.modelName;
 
   // Pre-size the arena for what the cards declare: every net of a
   // well-formed file is an input, a latch output, or a cover's output.
-  std::size_t gates = 0, pins = 0;
-  for (const Cover& cover : parsed.covers) {
-    if (cover.fanin() == 0) continue;
-    ++gates;
-    pins += cover.fanin();
-  }
-  netlist->reserve(netlist->nodeCount() + gates,
-                   netlist->netCount() + parsed.inputs.size() +
-                       parsed.latchOutputs.size() + parsed.covers.size(),
-                   netlist->arcCount() + pins);
+  netlist->reserve(netlist->nodeCount() + cards.gates,
+                   netlist->netCount() + cards.inputs.size() +
+                       cards.latchOutputs.size() + cards.covers,
+                   netlist->arcCount() + cards.pins);
 
-  const std::size_t repeatedInput = firstRepeat(parsed.inputs);
-  summary.inputs.reserve(parsed.inputs.size());
-  for (std::size_t i = 0; i < parsed.inputs.size(); ++i) {
-    const auto [line, net] = parsed.inputs[i];
+  const std::size_t repeatedInput = firstRepeat(cards.inputs);
+  summary.inputs.reserve(cards.inputs.size());
+  for (std::size_t i = 0; i < cards.inputs.size(); ++i) {
+    const auto [line, net] = cards.inputs[i];
     if (i == repeatedInput) {
       failParse(kSite, "duplicate .inputs net '" + std::string(net) + "'",
                 line);
@@ -364,21 +370,21 @@ BlifSummary buildFromParsed(const ParsedBlif& parsed, const GateLibrary& library
     netlist->addPrimaryInput(net);
     summary.inputs.emplace_back(net);
   }
-  const std::size_t repeatedOutput = firstRepeat(parsed.outputs);
-  if (repeatedOutput < parsed.outputs.size()) {
-    const auto [line, net] = parsed.outputs[repeatedOutput];
+  const std::size_t repeatedOutput = firstRepeat(cards.outputs);
+  if (repeatedOutput < cards.outputs.size()) {
+    const auto [line, net] = cards.outputs[repeatedOutput];
     failParse(kSite, "duplicate .outputs net '" + std::string(net) + "'",
               line);
   }
-  summary.outputs.reserve(parsed.outputs.size());
-  for (const auto& [line, net] : parsed.outputs) {
+  summary.outputs.reserve(cards.outputs.size());
+  for (const auto& [line, net] : cards.outputs) {
     summary.outputs.emplace_back(net);
   }
 
   // Latch outputs become pseudo-primary-inputs: the classic STA cut at
   // register boundaries.  Re-driving a declared input is a hard reject (two
   // different no-event sources for one net is meaningless).
-  for (const auto& [line, net] : parsed.latchOutputs) {
+  for (const auto& [line, net] : cards.latchOutputs) {
     if (netlist->isDriven(net)) {
       failParse(kSite,
                 ".latch output '" + std::string(net) + "' re-drives a net",
@@ -394,14 +400,14 @@ BlifSummary buildFromParsed(const ParsedBlif& parsed, const GateLibrary& library
   // multi-driver defect is recorded by the lenient add for the caller's
   // StructuralPolicy to judge, not decided here).  The add itself claims
   // the name, so each candidate name costs one index probe.
+  Cover cover;
   std::vector<char> seen;
   std::string fallback;
-  for (const Cover& cover : parsed.covers) {
+  const auto addCover = [&] {
     const std::size_t k = cover.fanin();
-    const std::span<const std::string_view> nets = parsed.netsOf(cover);
-    const std::string_view outNet = nets.back();
+    const std::string_view outNet = cover.nets.back();
     if (k == 0) {
-      if (cover.rowCount > 1) {
+      if (cover.rows.size() > 1) {
         failParse(kSite, "constant cover has multiple rows", cover.line);
       }
       if (netlist->isDriven(outNet)) {
@@ -412,14 +418,13 @@ BlifSummary buildFromParsed(const ParsedBlif& parsed, const GateLibrary& library
       budget->charge(outNet.size() + 64, "constant net", cover.line);
       netlist->addPrimaryInput(outNet);
       ++summary.constants;
-      continue;
+      return;
     }
-    const cells::GateType type =
-        classifyCover(cover, parsed.rowsOf(cover), &seen);
+    const cells::GateType type = classifyCover(cover, &seen);
     const CharacterizedGate& cell =
         library.require(type, static_cast<int>(k), cover.line);
     budget->chargeItems(k + 1, 48, "instance nets", cover.line);
-    const std::span<const std::string_view> inputs = nets.first(k);
+    const Tokens inputs = Tokens(cover.nets).first(k);
     NodeId node = netlist->tryAddInstanceLenient(outNet, cell, inputs, outNet);
     for (int n = 2; !node.valid(); ++n) {
       fallback.assign(outNet);
@@ -428,11 +433,32 @@ BlifSummary buildFromParsed(const ParsedBlif& parsed, const GateLibrary& library
       node = netlist->tryAddInstanceLenient(fallback, cell, inputs, outNet);
     }
     ++summary.gates;
-  }
+  };
+  // Pass 2.  Pass 1 accepted the text, so every card before .end is well
+  // formed and every row is "<plane> <output>" (just "<output>" for a
+  // constant) of the open cover; a cover is built when the next card (at
+  // the latest, .end) closes it.
+  bool coverOpen = false;
+  lexLogicalLines(text, options, nullptr, [&](int line, Tokens tokens) {
+    const std::string_view head = tokens[0];
+    if (head[0] != '.') {
+      const std::string_view plane = tokens.size() == 2 ? head : "";
+      cover.rows.push_back({line, plane, tokens.back()[0]});
+      return true;
+    }
+    if (coverOpen) addCover();
+    coverOpen = head == ".names";
+    if (coverOpen) {
+      cover.line = line;
+      cover.nets.assign(tokens.begin() + 1, tokens.end());
+      cover.rows.clear();
+    }
+    return head != ".end";
+  });
 
   // Every declared output must be driven: an undriven .outputs net would
   // silently vanish from any timing report.
-  for (const auto& [line, net] : parsed.outputs) {
+  for (const auto& [line, net] : cards.outputs) {
     if (!netlist->isDriven(net)) {
       failParse(kSite, "undriven .outputs net '" + std::string(net) + "'",
                 line);
@@ -452,17 +478,17 @@ BlifSummary parseText(std::string_view text, const GateLibrary& library,
   PROX_OBS_SCOPED_TIMER("sta.blif.seconds");
   PROX_OBS_SPAN("sta.blif");
   AllocationBudget budget(kSite, text.size(), options.limits);
-  ParsedBlif parsed;
+  Cards cards;
   {
     PROX_OBS_SCOPED_TIMER("sta.blif.lex.seconds");
     PROX_OBS_SPAN("sta.blif.lex");
-    parsed = parseCards(text, options, &budget);
+    cards = lexCards(text, options, &budget);
   }
-  PROX_OBS_COUNT("sta.blif.tokens", parsed.tokens);
-  PROX_OBS_COUNT("sta.blif.covers", parsed.covers.size());
+  PROX_OBS_COUNT("sta.blif.tokens", cards.tokens);
+  PROX_OBS_COUNT("sta.blif.covers", cards.covers);
   PROX_OBS_SCOPED_TIMER("sta.blif.build.seconds");
   PROX_OBS_SPAN("sta.blif.build");
-  return buildFromParsed(parsed, library, netlist, &budget);
+  return buildNetlist(text, cards, options, library, netlist, &budget);
 }
 
 }  // namespace
@@ -485,6 +511,8 @@ const CharacterizedGate* GateLibrary::find(cells::GateType type,
   const auto it = cells_.find(cellKey(type, fanin));
   if (it != cells_.end()) return it->second;
   if (!factory_) return nullptr;
+  PROX_OBS_SCOPED_TIMER("sta.library.seconds");
+  PROX_OBS_SPAN("sta.library");
   std::optional<CharacterizedGate> made = factory_(type, fanin);
   if (!made.has_value()) return nullptr;
   owned_.push_back(std::move(*made));
@@ -526,8 +554,12 @@ GateLibrary analyticLibrary(int maxFanin) {
 
 BlifSummary readBlif(std::istream& is, const GateLibrary& library,
                      Netlist* netlist, const BlifOptions& options) {
-  const std::string text =
-      support::readStreamBounded(is, options.limits.maxInputBytes, kSite);
+  std::string text;
+  {
+    PROX_OBS_SCOPED_TIMER("sta.blif.read.seconds");
+    PROX_OBS_SPAN("sta.blif.read");
+    text = support::readStreamBounded(is, options.limits.maxInputBytes, kSite);
+  }
   return parseText(text, library, netlist, options);
 }
 
@@ -539,8 +571,12 @@ BlifSummary readBlifString(std::string_view text, const GateLibrary& library,
 BlifSummary readBlifFile(const std::string& path, const GateLibrary& library,
                          Netlist* netlist, const BlifOptions& options) {
   if (path == "-") return readBlif(std::cin, library, netlist, options);
-  const std::string text =
-      support::readFileBounded(path, options.limits.maxInputBytes, kSite);
+  std::string text;
+  {
+    PROX_OBS_SCOPED_TIMER("sta.blif.read.seconds");
+    PROX_OBS_SPAN("sta.blif.read");
+    text = support::readFileBounded(path, options.limits.maxInputBytes, kSite);
+  }
   return parseText(text, library, netlist, options);
 }
 

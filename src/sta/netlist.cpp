@@ -25,16 +25,23 @@ constexpr const char* kSite = "sta.netlist";
           .withSite(kSite));
 }
 
-const char* issueCounter(StructuralIssue::Kind k) {
+/// Counts one structural issue under its kind's counter.  Each kind has its
+/// own PROX_OBS_COUNT: the macro binds its counter on first execution.
+void countIssue(StructuralIssue::Kind k) {
   switch (k) {
-    case StructuralIssue::Kind::Cycle: return "sta.structural.cycles";
-    case StructuralIssue::Kind::SelfLoop: return "sta.structural.self_loops";
+    case StructuralIssue::Kind::Cycle:
+      PROX_OBS_COUNT("sta.structural.cycles", 1);
+      return;
+    case StructuralIssue::Kind::SelfLoop:
+      PROX_OBS_COUNT("sta.structural.self_loops", 1);
+      return;
     case StructuralIssue::Kind::MultiDriver:
-      return "sta.structural.multi_drivers";
+      PROX_OBS_COUNT("sta.structural.multi_drivers", 1);
+      return;
     case StructuralIssue::Kind::DanglingInput:
-      return "sta.structural.dangling_inputs";
+      PROX_OBS_COUNT("sta.structural.dangling_inputs", 1);
+      return;
   }
-  return "sta.structural.unknown";
 }
 
 // Name index: an open-addressing table (power-of-two size, at most half
@@ -272,7 +279,7 @@ LevelizeResult Netlist::computeLevels(StructuralPolicy policy) const {
 
   std::vector<char> degraded(n, 0);
   const auto report = [&](StructuralIssue issue, NodeId degrade) {
-    PROX_OBS_COUNT(issueCounter(issue.kind), 1);
+    countIssue(issue.kind);
     if (reject) {
       failStructural("Netlist: " + issue.message);
     }

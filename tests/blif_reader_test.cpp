@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "blif_reference.hpp"
+#include "obs/registry.hpp"
 #include "sta/blif.hpp"
 #include "sta/synth.hpp"
 #include "support/diagnostic.hpp"
@@ -457,6 +458,73 @@ TEST(BlifReaderLexer, JunkAfterEndIsIgnored) {
   EXPECT_EQ(nl.netCount(), 2u);
 }
 
+TEST(BlifReaderLexer, TokensAndCoversAreCountedOncePerParse) {
+#if !PROX_ENABLE_STATS
+  GTEST_SKIP() << "counters are compiled out";
+#endif
+  const auto count = [](const char* name) {
+    return obs::counter(name).value();
+  };
+  const std::uint64_t tokens = count("sta.blif.tokens");
+  const std::uint64_t covers = count("sta.blif.covers");
+  parseFingerprint(kPlain);
+  EXPECT_EQ(count("sta.blif.tokens") - tokens, 21u);
+  EXPECT_EQ(count("sta.blif.covers") - covers, 2u);
+}
+
+// --- Card order ---------------------------------------------------------------
+
+TEST(BlifReaderCardOrder, InputsAfterTheGatesStillTakeTheFirstNetIds) {
+  sta::Netlist nl;
+  const sta::BlifSummary s = sta::readBlifString(
+      ".model lex\n.outputs y\n.names a b n\n11 0\n.names n c y\n00 1\n"
+      ".inputs a b c\n.end\n",
+      library(), &nl);
+  EXPECT_EQ(s.inputs, (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(fingerprint(nl), parseFingerprint(kPlain));
+  EXPECT_EQ(nl.findNet("a"), sta::NetId(0u));
+  EXPECT_EQ(nl.findNet("c"), sta::NetId(2u));
+}
+
+TEST(BlifReaderCardOrder, TwoOutputsCardsDeclareBothInOrder) {
+  sta::Netlist nl;
+  const sta::BlifSummary s = sta::readBlifString(
+      ".model lex\n.inputs a b c\n.outputs y\n.names a b n\n11 0\n"
+      ".outputs n\n.names n c y\n00 1\n.end\n",
+      library(), &nl);
+  EXPECT_EQ(s.outputs, (std::vector<std::string>{"y", "n"}));
+  EXPECT_EQ(fingerprint(nl), parseFingerprint(kPlain));
+  expectVerdicts({{"an undriven net on the second .outputs card",
+                   ".model m\n.inputs a\n.outputs y\n.names a y\n0 1\n"
+                   ".outputs z\n.end\n",
+                   kParse, "undriven .outputs net 'z'", 6}});
+}
+
+TEST(BlifReaderCardOrder, LatchAfterTheNamesThatFeedsIt) {
+  sta::Netlist nl;
+  const sta::BlifSummary s = sta::readBlifString(
+      ".model m\n.inputs a\n.outputs q y\n.names a y\n0 1\n.latch y q\n"
+      ".names q z\n1 0\n.end\n",
+      library(), &nl);
+  EXPECT_EQ(s.latches, 1u);
+  EXPECT_EQ(s.gates, 2u);
+  // The latch output is cut into a pseudo-primary-input before any cover is
+  // built, so it takes the net ID after the declared inputs.
+  EXPECT_EQ(fingerprint(nl), "y:INV(a,)->y;z:INV(q,)->z;a[pi];q[pi];y;z;");
+}
+
+TEST(BlifReaderCardOrder, ContinuationInsideACoverRow) {
+  EXPECT_EQ(parseFingerprint(".model lex\n.inputs a b c\n.outputs y\n"
+                             ".names a b n\n11 \\\n0\n.names n c y\n"
+                             "00\\\n 1\n.end\n"),
+            parseFingerprint(kPlain));
+  // A build-phase error on a continued row names the row's first line.
+  expectVerdicts({{"mixed rows, the second one continued",
+                   ".model m\n.inputs a b\n.names a b y\n0- 1\n-0 \\\n0\n"
+                   ".end\n",
+                   kParse, "cover mixes on-set and off-set rows", 5}});
+}
+
 // --- Differential against the reference reader ------------------------------
 
 /// Field-by-field netlist equality: names, cells, pins, drivers, primary
@@ -497,8 +565,10 @@ void expectSameNetlist(const sta::Netlist& got, const sta::Netlist& want) {
 
 /// A small generated circuit with one to three seeded mutations: dropped,
 /// duplicated or swapped lines, injected continuations, comments, blanks
-/// and CRLF, corrupted cover planes, extra drivers, and cut lines.
-std::string mutatedBlif(std::uint64_t seed) {
+/// and CRLF, corrupted cover planes, extra drivers, cut lines, and a whole
+/// .inputs/.outputs/.latch card moved after the covers (counted in
+/// @p movedCards).
+std::string mutatedBlif(std::uint64_t seed, int* movedCards) {
   sta::SynthSpec spec;
   spec.seed = seed;
   spec.depth = 2 + static_cast<std::uint32_t>(seed % 3);
@@ -524,7 +594,7 @@ std::string mutatedBlif(std::uint64_t seed) {
   for (std::size_t m = 0; m < mutations && !lines.empty(); ++m) {
     const std::size_t at = pick(lines.size());
     std::string& line = lines[at];
-    switch (pick(10)) {
+    switch (pick(11)) {
       case 0:
         lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
         break;
@@ -570,6 +640,22 @@ std::string mutatedBlif(std::uint64_t seed) {
                       pick(2) != 0 ? "0 1" : "1 0"});
         break;
       }
+      case 9: {  // a declaration card moved to just before the last line
+        std::vector<std::size_t> cards;
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+          for (const char* card : {".inputs ", ".outputs ", ".latch "}) {
+            if (lines[i].rfind(card, 0) == 0) cards.push_back(i);
+          }
+        }
+        if (cards.empty()) break;
+        const auto from = lines.begin() + static_cast<std::ptrdiff_t>(
+                                              cards[pick(cards.size())]);
+        const std::string card = std::move(*from);
+        lines.erase(from);
+        lines.insert(lines.end() - (lines.empty() ? 0 : 1), card);
+        ++*movedCards;
+        break;
+      }
       default:
         line.resize(pick(line.size() + 1));
         break;
@@ -582,8 +668,11 @@ std::string mutatedBlif(std::uint64_t seed) {
 
 TEST(BlifReaderDifferential, MatchesReferenceReaderOnMutatedCircuits) {
   int accepted = 0, rejected = 0, defective = 0, budgeted = 0;
+  int movedCardSeeds = 0, movedCardsBuilt = 0;
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
-    const std::string text = mutatedBlif(seed);
+    int movedCards = 0;
+    const std::string text = mutatedBlif(seed, &movedCards);
+    if (movedCards != 0) ++movedCardSeeds;
     SCOPED_TRACE("seed " + std::to_string(seed) + ":\n" + text);
     // Every fourth input runs under a tight budget, so charges made in a
     // different order or amount would trip on a different card.
@@ -617,6 +706,7 @@ TEST(BlifReaderDifferential, MatchesReferenceReaderOnMutatedCircuits) {
       continue;
     }
     ++accepted;
+    if (movedCards != 0) ++movedCardsBuilt;
     EXPECT_EQ(gotSummary.modelName, wantSummary.modelName);
     EXPECT_EQ(gotSummary.inputs, wantSummary.inputs);
     EXPECT_EQ(gotSummary.outputs, wantSummary.outputs);
@@ -632,6 +722,10 @@ TEST(BlifReaderDifferential, MatchesReferenceReaderOnMutatedCircuits) {
   EXPECT_GE(rejected, 60);
   EXPECT_GE(defective, 15);
   EXPECT_GE(budgeted, 15);
+  // Moved declaration cards must reach the reader, and enough of those
+  // inputs must build for the two netlists to be compared.
+  EXPECT_GE(movedCardSeeds, 40);
+  EXPECT_GE(movedCardsBuilt, 15);
 }
 
 }  // namespace

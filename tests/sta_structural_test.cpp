@@ -202,6 +202,37 @@ TEST(StructuralLadder, DegradeOnCleanGraphReportsNothing) {
   EXPECT_EQ(ta.degradedArcs(), 0u);
 }
 
+TEST(StructuralLadder, EachIssueKindCountsUnderItsOwnCounter) {
+#if !PROX_ENABLE_STATS
+  GTEST_SKIP() << "counters are compiled out";
+#endif
+  const auto count = [](const char* name) {
+    return obs::counter(name).value();
+  };
+  const std::uint64_t dangling = count("sta.structural.dangling_inputs");
+  const std::uint64_t cycles = count("sta.structural.cycles");
+  sta::DelayCalcOptions opts;
+  opts.structural = StructuralPolicy::Degrade;
+  const auto degradeRun = [&](const Netlist& nl) {
+    sta::TimingAnalyzer ta(nl, DelayMode::Proximity, opts);
+    ta.setInputArrival("a", {0.0, 300e-12, Edge::Rising});
+    ta.run();
+  };
+  const auto& cell = testutil::nand2Model();
+  Netlist open;  // u1's input c has no driver
+  open.addPrimaryInput("a");
+  open.addInstance("u1", cell, {"a", "c"}, "y1");
+  degradeRun(open);
+  Netlist loop;  // u1 -> u2 -> u1, with b a stable side input
+  loop.addPrimaryInput("a");
+  loop.addPrimaryInput("b");
+  loop.addInstance("u1", cell, {"a", "y2"}, "y1");
+  loop.addInstance("u2", cell, {"y1", "b"}, "y2");
+  degradeRun(loop);
+  EXPECT_EQ(count("sta.structural.dangling_inputs") - dangling, 1u);
+  EXPECT_EQ(count("sta.structural.cycles") - cycles, 1u);
+}
+
 // --- CSR levelize vs the reference levelizer ---------------------------------
 
 const sta::GateLibrary& analyticLib() {
